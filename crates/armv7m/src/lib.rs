@@ -9,13 +9,15 @@
 //!   accesses from unprivileged code raise a bus fault — [`Mode`];
 //! * the Memory Protection Unit with eight prioritised regions,
 //!   power-of-two size and alignment constraints, and eight individually
-//!   disableable sub-regions per region — [`mpu`];
+//!   disableable sub-regions per region — [`mpu`] — and the closed set
+//!   of protection units a machine can hold (that MPU or the RISC-V
+//!   PMP) — [`prot`];
 //! * the exception kinds OPEC-Monitor hooks (SVC, MemManage, BusFault) —
 //!   [`exception`];
 //! * a cycle clock with Cortex-M4-style costs — [`clock`];
 //! * a Thumb-2 load/store encoder/decoder used by the monitor's
 //!   core-peripheral emulation path — [`thumb`];
-//! * the composed [`machine::Machine`] that owns Flash, SRAM, the MPU and
+//! * the composed [`machine::Machine`] that owns Flash, SRAM, the unit and
 //!   memory-mapped devices and enforces all of the above on every access.
 //!
 //! The model is deliberately a *behavioural* one: it enforces the same
@@ -41,7 +43,7 @@ pub use exception::{AccessKind, Exception, FaultCause, FaultInfo};
 pub use machine::{copy_device_state, Machine, MachineDelta, MachineSnapshot, MmioDevice};
 pub use mem::{AddressClass, MemRegion};
 pub use mpu::{AccessPerm, Mpu, MpuRegion, RegionAttr, MPU_MIN_REGION_SIZE, MPU_NUM_REGIONS};
-pub use prot::ProtectionUnit;
+pub use prot::Prot;
 
 /// Processor privilege level.
 ///

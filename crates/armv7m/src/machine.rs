@@ -21,7 +21,7 @@ use crate::clock::Clock;
 use crate::exception::{AccessKind, Exception, FaultCause, FaultInfo};
 use crate::mem::{ppb, AddressClass, MemRegion};
 use crate::mpu::{Mpu, MpuDecision};
-use crate::prot::ProtectionUnit;
+use crate::prot::Prot;
 use crate::Mode;
 
 /// A memory-mapped peripheral model.
@@ -120,7 +120,7 @@ pub struct MachineSnapshot {
     clock: Clock,
     current_pc: u32,
     stats: MachineStats,
-    prot: Box<dyn ProtectionUnit>,
+    prot: Prot,
     ppb_regs: HashMap<u32, u32>,
     flash: Vec<u8>,
     sram: Vec<u8>,
@@ -142,7 +142,7 @@ pub struct MachineDelta {
     clock: Clock,
     current_pc: u32,
     stats: MachineStats,
-    prot: Box<dyn ProtectionUnit>,
+    prot: Prot,
     ppb_regs: HashMap<u32, u32>,
     /// `(byte offset, page contents)` for each dirty Flash page.
     flash_pages: Vec<(usize, Vec<u8>)>,
@@ -166,9 +166,9 @@ pub struct Machine {
     pub board: Board,
     flash: Vec<u8>,
     sram: Vec<u8>,
-    /// The pluggable memory-protection unit consulted on every checked
-    /// access (ARMv7-M MPU by default; swapped by backends).
-    prot: Box<dyn ProtectionUnit>,
+    /// The memory-protection unit consulted on every checked access
+    /// (ARMv7-M MPU by default; backends choose the unit).
+    prot: Prot,
     /// Current execution privilege.
     pub mode: Mode,
     /// Cycle clock.
@@ -194,12 +194,12 @@ impl Machine {
     /// Creates a machine for `board` with zeroed Flash and SRAM, MPU
     /// disabled, running privileged (the reset state).
     pub fn new(board: Board) -> Machine {
-        Machine::with_protection(board, Box::new(Mpu::new()))
+        Machine::with_protection(board, Prot::Mpu(Mpu::new()))
     }
 
     /// Creates a machine for `board` with a caller-chosen protection
     /// unit (backends install their own model here).
-    pub fn with_protection(board: Board, prot: Box<dyn ProtectionUnit>) -> Machine {
+    pub fn with_protection(board: Board, prot: Prot) -> Machine {
         Machine {
             board,
             flash: vec![0; board.flash.size as usize],
@@ -219,40 +219,39 @@ impl Machine {
     }
 
     /// The installed protection unit.
-    pub fn protection(&self) -> &dyn ProtectionUnit {
-        self.prot.as_ref()
+    pub fn protection(&self) -> &Prot {
+        &self.prot
     }
 
     /// The installed protection unit, mutably.
-    pub fn protection_mut(&mut self) -> &mut dyn ProtectionUnit {
-        self.prot.as_mut()
+    pub fn protection_mut(&mut self) -> &mut Prot {
+        &mut self.prot
     }
 
-    /// Replaces the installed protection unit.
-    pub fn set_protection(&mut self, prot: Box<dyn ProtectionUnit>) {
-        self.prot = prot;
-    }
-
-    /// The installed unit downcast to the ARMv7-M [`Mpu`], if it is one.
+    /// The installed unit as the ARMv7-M [`Mpu`], if it is one.
     pub fn try_mpu(&self) -> Option<&Mpu> {
-        self.prot.as_any().downcast_ref::<Mpu>()
+        match &self.prot {
+            Prot::Mpu(mpu) => Some(mpu),
+            Prot::Pmp(_) => None,
+        }
     }
 
-    /// The installed unit downcast to the ARMv7-M [`Mpu`].
+    /// The installed unit as the ARMv7-M [`Mpu`].
     ///
-    /// Panics if another protection model is installed — for ARM-only
-    /// call sites (ACES runtime, ARMv7-M tests) where a different unit
-    /// is a logic error, not a recoverable condition.
+    /// Panics if the PMP is installed — for ARM-only call sites (ACES
+    /// runtime, ARMv7-M tests) where the other unit is a logic error,
+    /// not a recoverable condition.
     pub fn mpu(&self) -> &Mpu {
         self.try_mpu().expect("machine protection unit is not the ARMv7-M MPU")
     }
 
-    /// Mutable ARMv7-M [`Mpu`] downcast; panics like [`Machine::mpu`].
+    /// The installed unit as a mutable [`Mpu`]; panics like
+    /// [`Machine::mpu`].
     pub fn mpu_mut(&mut self) -> &mut Mpu {
-        self.prot
-            .as_any_mut()
-            .downcast_mut::<Mpu>()
-            .expect("machine protection unit is not the ARMv7-M MPU")
+        match &mut self.prot {
+            Prot::Mpu(mpu) => mpu,
+            Prot::Pmp(_) => panic!("machine protection unit is not the ARMv7-M MPU"),
+        }
     }
 
     /// Marks the pages covering `off..off + len` dirty. No-op until a
@@ -291,7 +290,7 @@ impl Machine {
             clock: self.clock.clone(),
             current_pc: self.current_pc,
             stats: self.stats,
-            prot: self.prot.clone_unit(),
+            prot: self.prot.clone(),
             ppb_regs: self.ppb_regs.clone(),
             flash: self.flash.clone(),
             sram: self.sram.clone(),
@@ -319,9 +318,7 @@ impl Machine {
         self.clock = snap.clock.clone();
         self.current_pc = snap.current_pc;
         self.stats = snap.stats;
-        if !self.prot.copy_unit_from(snap.prot.as_ref()) {
-            self.prot = snap.prot.clone_unit();
-        }
+        self.prot.copy_from(&snap.prot);
         self.ppb_regs.clone_from(&snap.ppb_regs);
         self.restore_devices(&snap.devices, "snapshotted");
     }
@@ -408,7 +405,7 @@ impl Machine {
             clock: self.clock.clone(),
             current_pc: self.current_pc,
             stats: self.stats,
-            prot: self.prot.clone_unit(),
+            prot: self.prot.clone(),
             ppb_regs: self.ppb_regs.clone(),
             flash_pages: Self::dirty_pages(&self.flash, &self.flash_dirty),
             sram_pages: Self::dirty_pages(&self.sram, &self.sram_dirty),
@@ -440,9 +437,7 @@ impl Machine {
         self.clock = d.clock.clone();
         self.current_pc = d.current_pc;
         self.stats = d.stats;
-        if !self.prot.copy_unit_from(d.prot.as_ref()) {
-            self.prot = d.prot.clone_unit();
-        }
+        self.prot.copy_from(&d.prot);
         self.ppb_regs.clone_from(&d.ppb_regs);
         self.restore_devices(&d.devices, "parked");
         Ok(())

@@ -256,6 +256,11 @@ impl Mpu {
         self.obs = obs;
     }
 
+    /// Detaches and returns the observability handle.
+    pub(crate) fn detach_obs(&mut self) -> opec_obs::Obs {
+        std::mem::take(&mut self.obs)
+    }
+
     /// Programs region `number`, validating architectural constraints.
     pub fn set_region(&mut self, number: usize, region: MpuRegion) -> Result<(), MpuConfigError> {
         if number >= MPU_NUM_REGIONS {
@@ -376,64 +381,6 @@ impl Mpu {
         } else {
             MpuDecision::Denied
         }
-    }
-}
-
-impl crate::prot::ProtectionUnit for Mpu {
-    fn name(&self) -> &'static str {
-        "armv7m-mpu"
-    }
-
-    fn check_data(&self, addr: u32, len: u32, write: bool, mode: Mode) -> MpuDecision {
-        Mpu::check_data(self, addr, len, write, mode)
-    }
-
-    fn check_exec(&self, addr: u32, mode: Mode) -> MpuDecision {
-        Mpu::check_exec(self, addr, mode)
-    }
-
-    fn enforcing(&self) -> bool {
-        self.enabled
-    }
-
-    fn attach_obs(&mut self, obs: opec_obs::Obs) {
-        Mpu::attach_obs(self, obs);
-    }
-
-    fn ppb_ctrl_write(&mut self, addr: u32, value: u32) {
-        // MPU_CTRL is live state: ENABLE (bit 0) and PRIVDEFENA (bit 2)
-        // drive the modelled MPU, so privileged code that reaches this
-        // register really does turn protection off.
-        if addr == crate::mem::ppb::MPU_CTRL {
-            self.enabled = value & 1 != 0;
-            self.priv_default_enabled = value & 4 != 0;
-        }
-    }
-
-    fn clone_unit(&self) -> Box<dyn crate::prot::ProtectionUnit> {
-        Box::new(self.clone())
-    }
-
-    fn copy_unit_from(&mut self, src: &dyn crate::prot::ProtectionUnit) -> bool {
-        match src.as_any().downcast_ref::<Mpu>() {
-            Some(s) => {
-                self.regions = s.regions;
-                self.enabled = s.enabled;
-                self.priv_default_enabled = s.priv_default_enabled;
-                // `obs` is configuration, not state: the live unit and
-                // the snapshotted one were attached to the same stream.
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

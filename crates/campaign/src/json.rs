@@ -76,12 +76,19 @@ impl Value {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Corpus entries
+/// and journal payloads nest at most six levels; the limit keeps the
+/// recursive descent's stack use bounded whatever the input (a body of
+/// half a million `[` would otherwise overflow the stack and abort the
+/// process).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Trailing whitespace is allowed;
-/// trailing garbage is an error.
+/// trailing garbage and nesting deeper than [`MAX_DEPTH`] are errors.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -95,8 +102,11 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
@@ -112,7 +122,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -140,7 +150,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected : at byte {pos}"));
                 }
                 *pos += 1;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -282,5 +292,20 @@ mod tests {
         assert!(parse("{\"a\": 1} x").is_err());
         assert!(parse("{\"a\": ").is_err());
         assert!(parse("[1, 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        assert!(parse(&format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        ))
+        .is_err());
+        // Half a MiB of `[` is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(512 * 1024)).is_err());
     }
 }

@@ -1,39 +1,42 @@
-//! The protection backend trait (multi-ISA isolation, ROADMAP item 3).
+//! The protection backends: a closed set of two.
 //!
 //! OPEC's isolation argument is architecture-agnostic: operations,
 //! shadowing and the access matrix are defined over abstract
 //! compartments, and only the last mile — *programming a protection
 //! unit so the hardware enforces the per-operation view* — is
-//! ISA-specific. [`Backend`] captures exactly that last mile:
+//! ISA-specific. The reproduction has exactly two such units, so
+//! [`Backend`] is an enum of two variants and every per-backend
+//! decision is one `match`:
 //!
-//! * **Region-plan generation** is a per-backend strategy. The ARMv7-M
-//!   MPU wants eight prioritised power-of-two regions and expresses the
+//! * [`Backend::Armv7m`] — the paper's platform. The ARMv7-M MPU wants
+//!   eight prioritised power-of-two regions and expresses the
 //!   live-stack boundary by disabling sub-regions (rounding the
-//!   boundary down to `stack.size / 8`); the RISC-V PMP wants sixteen
+//!   boundary down to `stack.size / 8`); its plan is an
+//!   [`ArmRegionPlan`].
+//! * [`Backend::Rv32Pmp`] — the §7 port. The RISC-V PMP wants sixteen
 //!   lowest-wins TOR/NAPOT entries and expresses the stack boundary
-//!   *exactly* with a TOR pair (granularity 4 bytes). The associated
-//!   [`Backend::RegionPlan`] holds whatever the backend precomputes
-//!   from a [`SystemPolicy`].
-//! * **The switch path** ([`Backend::apply_op`]) reprograms the unit at
-//!   every operation switch; [`Backend::virtualize`] serves the
-//!   region-file-too-small case (MPU virtualization, §5.2) by swapping
-//!   one peripheral window into a reserved slot.
-//! * **Fault classification** maps machine faults onto the backend's
-//!   vocabulary ([`Backend::Fault`]), folding to the backend-neutral
-//!   [`FaultClass`] the monitor dispatches on.
+//!   *exactly* with a TOR pair (granularity 4 bytes); its plan is a
+//!   [`PmpPlan`].
 //!
-//! The monitor, oracle and evaluation program against the dyn-safe
-//! erasure [`DynBackend`] (blanket-implemented for every [`Backend`]),
-//! so adding a backend never touches them: the access-matrix oracle is
-//! backend-independent by construction, which is what lets it check
-//! that the isolation guarantees survive a port.
-
-use std::any::Any;
-use std::sync::Arc;
+//! [`Backend::plan`] precomputes a [`RegionPlan`] from a
+//! [`SystemPolicy`]; the switch path ([`RegionPlan::apply_op`])
+//! reprograms the unit at every operation switch, and
+//! [`RegionPlan::virtualize`] serves the region-file-too-small case
+//! (MPU virtualization, §5.2) by swapping one peripheral window into a
+//! reserved slot. Both units raise the same machine fault causes, so
+//! the monitor classifies faults with [`FaultClass::from`] alone.
+//!
+//! A third backend would be a third variant here, a third [`RegionPlan`]
+//! variant, and one arm in each `match` — plus a third
+//! `opec_armv7m::Prot` variant for its checking model. The monitor, the
+//! oracle and the evaluation only ever hold a [`Backend`] value; the
+//! access-matrix oracle is backend-independent by construction, which
+//! is what lets it check that the isolation guarantees survive a port.
 
 use opec_armv7m::clock::costs;
 use opec_armv7m::mpu::{region_size_for, MpuRegion, RegionAttr};
-use opec_armv7m::{Board, FaultCause, FaultInfo, Machine, MemRegion};
+use opec_armv7m::{Board, FaultCause, Machine, MemRegion, Prot};
+use opec_pmp::{napot_addr, napot_cover, PmpEntry, PmpMode, PmpUnit, PMP_ENTRY_WRITE};
 use opec_vm::OpId;
 
 use crate::layout::SystemPolicy;
@@ -63,8 +66,8 @@ impl From<FaultCause> for FaultClass {
     }
 }
 
-/// Backend-erased cost of one full protection-unit reprogramming, for
-/// the per-backend switch-cost accounting.
+/// Cost of one full protection-unit reprogramming, for the
+/// per-backend switch-cost accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchCostSummary {
     /// Protection registers written (MPU RBAR/RASR pairs, PMP
@@ -74,58 +77,194 @@ pub struct SwitchCostSummary {
     pub cycles: u64,
 }
 
-/// A protection backend: one ISA's machine construction + protection
+/// A protection backend: one ISA's machine construction and protection
 /// unit programming strategy.
-///
-/// The associated types keep each backend's vocabulary first-class
-/// (an ARM region plan is not a PMP entry plan; an ARM fault cause is
-/// not a PMP fault cause) while the conversions to the neutral
-/// [`FaultClass`] / [`SwitchCostSummary`] give the monitor one
-/// dispatch surface via [`DynBackend`].
-pub trait Backend: Send + Sync + 'static {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Backend {
+    /// The paper's platform: the ARMv7-M MPU (the default).
+    #[default]
+    Armv7m,
+    /// The §7 port: the RISC-V PMP.
+    Rv32Pmp,
+}
+
+/// Reserved virtualization slots on ARM (MPU regions 4–7).
+const ARM_VIRT_SLOTS: usize = 4;
+/// Reserved virtualization slots on PMP (entries 3–8: six, against the
+/// ARM MPU's four — sixteen entries leave room even with the stack
+/// pair and three background entries).
+const PMP_VIRT_SLOTS: usize = 6;
+/// First PMP virtualization entry.
+const PMP_VIRT_BASE: usize = 3;
+/// PMP Flash background entry (R+X).
+const PMP_FLASH_ENTRY: usize = PMP_VIRT_BASE + PMP_VIRT_SLOTS;
+/// PMP SRAM read-only background entry.
+const PMP_SRAM_ENTRY: usize = PMP_FLASH_ENTRY + 1;
+
+impl Backend {
+    /// Every backend, in CLI-vocabulary order.
+    pub const ALL: [Backend; 2] = [Backend::Armv7m, Backend::Rv32Pmp];
+
     /// Stable backend name (`"armv7m"`, `"rv32-pmp"`): the CLI
     /// vocabulary and report labels.
-    const NAME: &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Armv7m => "armv7m",
+            Backend::Rv32Pmp => "rv32-pmp",
+        }
+    }
 
-    /// Everything the backend precomputes from a [`SystemPolicy`]:
-    /// region files, entry files, cover geometry.
-    type RegionPlan: Send + Sync + 'static;
+    /// Resolves a CLI backend name; an unknown name is a usage error.
+    pub fn from_name(name: &str) -> Result<Backend, String> {
+        Backend::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .ok_or_else(|| format!("unknown backend {name:?} (expected armv7m or rv32-pmp)"))
+    }
 
-    /// The backend's own fault vocabulary.
-    type Fault: Into<FaultClass> + 'static;
+    /// Resolves an optional backend flag into a list; `None` means
+    /// every backend.
+    pub fn list_from_flag(flag: Option<&str>) -> Result<Vec<Backend>, String> {
+        match flag {
+            None => Ok(Backend::ALL.to_vec()),
+            Some(name) => Ok(vec![Backend::from_name(name)?]),
+        }
+    }
 
-    /// The backend's own switch-cost record.
-    type SwitchCost: Into<SwitchCostSummary> + 'static;
+    /// Whether the ACES comparison stack exists on this backend. ACES
+    /// compartmentalisation targets the ARMv7-M MPU; on other backends
+    /// its cells are recorded as skips, never silently dropped.
+    pub fn has_aces(self) -> bool {
+        self == Backend::Armv7m
+    }
+
+    /// The backend itself. Kept because the repository's benchmark
+    /// (`perfbench/`) builds against this name.
+    pub fn dyn_backend(self) -> Backend {
+        self
+    }
 
     /// Builds a machine with this backend's protection unit installed
     /// (disabled — reset state — until [`Backend::enable`]).
-    fn make_machine(&self, board: Board) -> Machine;
+    pub fn make_machine(self, board: Board) -> Machine {
+        match self {
+            Backend::Armv7m => Machine::new(board),
+            Backend::Rv32Pmp => Machine::with_protection(board, Prot::Pmp(PmpUnit::new())),
+        }
+    }
 
     /// Generates the region plan for `policy`. Pure: same policy, same
     /// plan.
-    fn plan(&self, policy: &SystemPolicy) -> Self::RegionPlan;
+    pub fn plan(self, policy: &SystemPolicy) -> RegionPlan {
+        match self {
+            Backend::Armv7m => RegionPlan::Arm(ArmRegionPlan::new(policy)),
+            Backend::Rv32Pmp => RegionPlan::Pmp(PmpPlan::new(policy)),
+        }
+    }
 
     /// Turns enforcement on (MPU ENABLE+PRIVDEFENA / PMP armed).
-    fn enable(&self, machine: &mut Machine) -> Result<(), String>;
+    pub fn enable(self, machine: &mut Machine) -> Result<(), String> {
+        match (self, machine.protection_mut()) {
+            (Backend::Armv7m, Prot::Mpu(mpu)) => {
+                mpu.enabled = true;
+                mpu.priv_default_enabled = true;
+            }
+            (Backend::Rv32Pmp, Prot::Pmp(unit)) => unit.enabled = true,
+            (_, prot) => return Err(mismatch(prot)),
+        }
+        Ok(())
+    }
 
     /// Number of reserved slots for peripheral-window virtualization
     /// (ARM: 4 MPU regions; PMP: 6 entries).
-    fn virt_slots(&self) -> usize;
+    pub fn virt_slots(self) -> usize {
+        match self {
+            Backend::Armv7m => ARM_VIRT_SLOTS,
+            Backend::Rv32Pmp => PMP_VIRT_SLOTS,
+        }
+    }
 
     /// The hardware label of virtualization slot `slot` (ARM: MPU
     /// region `4 + slot`; PMP: entry `3 + slot`) — used in obs events
     /// so traces name real registers.
-    fn virt_slot_label(&self, slot: usize) -> u8;
+    pub fn virt_slot_label(self, slot: usize) -> u8 {
+        match self {
+            Backend::Armv7m => (ARM_VIRT_SLOTS + slot) as u8,
+            Backend::Rv32Pmp => (PMP_VIRT_BASE + slot) as u8,
+        }
+    }
 
     /// Cycles one protection-register write costs.
-    fn write_cost(&self) -> u64;
+    pub fn write_cost(self) -> u64 {
+        match self {
+            Backend::Armv7m => costs::MPU_REGION_WRITE,
+            Backend::Rv32Pmp => PMP_ENTRY_WRITE,
+        }
+    }
 
-    /// How many protection registers [`Backend::apply_op`] will write
-    /// for `op` (the caller charges the clock *before* the writes so
-    /// the emitted events carry post-charge timestamps, matching the
+    /// The stack-protection boundary for an operation entered with
+    /// stack pointer `sp`: the live stack becomes `[stack.base,
+    /// boundary)`. `None` when no usable live stack remains. ARM
+    /// rounds `sp` down to a sub-region multiple; PMP's TOR bound
+    /// rounds it down to a word.
+    pub fn stack_boundary(self, stack: MemRegion, sp: u32) -> Option<u32> {
+        match self {
+            Backend::Armv7m => {
+                let sub = stack.size / 8;
+                let idx = ((sp.checked_sub(stack.base)?) / sub).min(8);
+                (idx != 0).then(|| stack.base + idx * sub)
+            }
+            Backend::Rv32Pmp => {
+                let boundary = sp & !3;
+                (boundary > stack.base).then(|| boundary.min(stack.end()))
+            }
+        }
+    }
+
+    /// The granularity [`Backend::stack_boundary`] rounds to — the
+    /// oracle uses it to predict the boundary independently.
+    pub fn boundary_granularity(self, stack: MemRegion) -> u32 {
+        match self {
+            Backend::Armv7m => (stack.size / 8).max(1),
+            Backend::Rv32Pmp => 4,
+        }
+    }
+}
+
+fn mismatch(prot: &Prot) -> String {
+    format!("the machine's {} unit belongs to the other backend", prot.name())
+}
+
+/// Everything a backend precomputes from a [`SystemPolicy`]: region
+/// files, entry files, cover geometry. The variant matches the
+/// [`Backend`] that produced it.
+#[derive(Debug, Clone)]
+pub enum RegionPlan {
+    /// An ARMv7-M MPU region plan.
+    Arm(ArmRegionPlan),
+    /// An RV32 PMP entry plan.
+    Pmp(PmpPlan),
+}
+
+impl RegionPlan {
+    /// How many protection registers [`RegionPlan::apply_op`] will
+    /// write for `op` (the caller charges the clock *before* the writes
+    /// so the emitted events carry post-charge timestamps, matching the
     /// hardware where the reprogramming has happened by the time
     /// anything observes it).
-    fn op_write_count(&self, plan: &Self::RegionPlan, op: OpId) -> u32;
+    pub fn op_write_count(&self, op: OpId) -> u32 {
+        match self {
+            RegionPlan::Arm(plan) => {
+                let preload = plan.periph[usize::from(op)].len().min(ARM_VIRT_SLOTS);
+                (plan.base.len() + 1 + preload) as u32
+            }
+            RegionPlan::Pmp(plan) => {
+                let preload = plan.periph[usize::from(op)].len().min(PMP_VIRT_SLOTS);
+                // Stack pair (2) + section + Flash + SRAM background.
+                (5 + preload) as u32
+            }
+        }
+    }
 
     /// Programs the unit for `op` with the live stack extending from
     /// the stack base up to `boundary` (exclusive). Contract: the
@@ -133,157 +272,58 @@ pub trait Backend: Send + Sync + 'static {
     /// covers are preloaded *index-aligned* into the reserved slots —
     /// the caller's virtualization bookkeeping relies on it. Does not
     /// charge the clock.
-    fn apply_op(
+    pub fn apply_op(
         &self,
         machine: &mut Machine,
-        plan: &Self::RegionPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<Self::SwitchCost, String>;
-
-    /// Swaps peripheral cover `widx` of `op` into reserved slot
-    /// `slot` (one register write; the caller charges the clock).
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &Self::RegionPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String>;
-
-    /// The stack-protection boundary for an operation entered with
-    /// stack pointer `sp`: the live stack becomes `[stack.base,
-    /// boundary)`. `None` when no usable live stack remains. ARM
-    /// rounds `sp` down to a sub-region multiple; PMP rounds to a
-    /// word.
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32>;
-
-    /// The granularity [`Backend::stack_boundary`] rounds to — the
-    /// oracle uses it to predict the boundary independently.
-    fn boundary_granularity(&self, stack: MemRegion) -> u32;
-
-    /// Maps a machine fault into the backend's fault vocabulary.
-    fn classify_fault(&self, fault: &FaultInfo) -> Self::Fault;
-}
-
-/// Dyn-safe erasure of [`Backend`], blanket-implemented for every
-/// backend. The monitor holds an `Arc<dyn DynBackend>` (it must stay
-/// `Clone` for VM snapshots) and a type-erased plan.
-pub trait DynBackend: Send + Sync {
-    /// [`Backend::NAME`].
-    fn name(&self) -> &'static str;
-    /// [`Backend::make_machine`].
-    fn make_machine(&self, board: Board) -> Machine;
-    /// [`Backend::plan`], type-erased (`Arc` so monitor clones share).
-    fn plan_dyn(&self, policy: &SystemPolicy) -> Arc<dyn Any + Send + Sync>;
-    /// [`Backend::enable`].
-    fn enable(&self, machine: &mut Machine) -> Result<(), String>;
-    /// [`Backend::virt_slots`].
-    fn virt_slots(&self) -> usize;
-    /// [`Backend::virt_slot_label`].
-    fn virt_slot_label(&self, slot: usize) -> u8;
-    /// [`Backend::write_cost`].
-    fn write_cost(&self) -> u64;
-    /// [`Backend::op_write_count`], on an erased plan.
-    fn op_write_count_dyn(&self, plan: &(dyn Any + Send + Sync), op: OpId) -> u32;
-    /// [`Backend::apply_op`], on an erased plan.
-    fn apply_op_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
-        op: OpId,
-        boundary: u32,
-    ) -> Result<SwitchCostSummary, String>;
-    /// [`Backend::virtualize`], on an erased plan.
-    fn virtualize_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String>;
-    /// [`Backend::stack_boundary`].
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32>;
-    /// [`Backend::boundary_granularity`].
-    fn boundary_granularity(&self, stack: MemRegion) -> u32;
-    /// [`Backend::classify_fault`] folded to the neutral class.
-    fn fault_class(&self, fault: &FaultInfo) -> FaultClass;
-}
-
-fn downcast_plan<B: Backend>(plan: &(dyn Any + Send + Sync)) -> &B::RegionPlan {
-    plan.downcast_ref::<B::RegionPlan>()
-        .unwrap_or_else(|| panic!("region plan is not a {} plan", B::NAME))
-}
-
-impl<B: Backend> DynBackend for B {
-    fn name(&self) -> &'static str {
-        B::NAME
-    }
-    fn make_machine(&self, board: Board) -> Machine {
-        Backend::make_machine(self, board)
-    }
-    fn plan_dyn(&self, policy: &SystemPolicy) -> Arc<dyn Any + Send + Sync> {
-        Arc::new(self.plan(policy))
-    }
-    fn enable(&self, machine: &mut Machine) -> Result<(), String> {
-        Backend::enable(self, machine)
-    }
-    fn virt_slots(&self) -> usize {
-        Backend::virt_slots(self)
-    }
-    fn virt_slot_label(&self, slot: usize) -> u8 {
-        Backend::virt_slot_label(self, slot)
-    }
-    fn write_cost(&self) -> u64 {
-        Backend::write_cost(self)
-    }
-    fn op_write_count_dyn(&self, plan: &(dyn Any + Send + Sync), op: OpId) -> u32 {
-        self.op_write_count(downcast_plan::<B>(plan), op)
-    }
-    fn apply_op_dyn(
-        &self,
-        machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
         op: OpId,
         boundary: u32,
     ) -> Result<SwitchCostSummary, String> {
-        self.apply_op(machine, downcast_plan::<B>(plan), op, boundary).map(Into::into)
+        match (self, machine.protection_mut()) {
+            (RegionPlan::Arm(plan), Prot::Mpu(mpu)) => {
+                let regions = plan.op_regions(op, boundary);
+                mpu.load_regions(&regions).map_err(|e| format!("MPU programming: {e}"))?;
+                let writes = regions.len() as u32;
+                Ok(SwitchCostSummary {
+                    writes,
+                    cycles: u64::from(writes) * costs::MPU_REGION_WRITE,
+                })
+            }
+            (RegionPlan::Pmp(plan), Prot::Pmp(unit)) => {
+                let entries = plan.op_entries(op, boundary);
+                unit.load_entries(&entries);
+                let writes = entries.len() as u32;
+                Ok(SwitchCostSummary { writes, cycles: u64::from(writes) * PMP_ENTRY_WRITE })
+            }
+            (_, prot) => Err(mismatch(prot)),
+        }
     }
-    fn virtualize_dyn(
+
+    /// Swaps peripheral cover `widx` of `op` into reserved slot `slot`
+    /// (one register write; the caller charges the clock).
+    pub fn virtualize(
         &self,
         machine: &mut Machine,
-        plan: &(dyn Any + Send + Sync),
         op: OpId,
         widx: usize,
         slot: usize,
     ) -> Result<(), String> {
-        self.virtualize(machine, downcast_plan::<B>(plan), op, widx, slot)
-    }
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
-        Backend::stack_boundary(self, stack, sp)
-    }
-    fn boundary_granularity(&self, stack: MemRegion) -> u32 {
-        Backend::boundary_granularity(self, stack)
-    }
-    fn fault_class(&self, fault: &FaultInfo) -> FaultClass {
-        self.classify_fault(fault).into()
-    }
-}
-
-/// The cost record of one ARM MPU reprogramming.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArmSwitchCost {
-    /// MPU regions written.
-    pub regions: u32,
-}
-
-impl From<ArmSwitchCost> for SwitchCostSummary {
-    fn from(c: ArmSwitchCost) -> SwitchCostSummary {
-        SwitchCostSummary {
-            writes: c.regions,
-            cycles: u64::from(c.regions) * costs::MPU_REGION_WRITE,
+        match (self, machine.protection_mut()) {
+            (RegionPlan::Arm(plan), Prot::Mpu(mpu)) => {
+                let region = plan.periph[usize::from(op)].get(widx).copied().ok_or_else(|| {
+                    format!("no prepared MPU region for peripheral window {widx}")
+                })?;
+                mpu.set_region(ARM_VIRT_SLOTS + slot, region)
+                    .map_err(|e| format!("MPU virtualization failed: {e}"))
+            }
+            (RegionPlan::Pmp(plan), Prot::Pmp(unit)) => {
+                let entry = plan.periph[usize::from(op)]
+                    .get(widx)
+                    .copied()
+                    .ok_or_else(|| format!("no prepared PMP entry for peripheral window {widx}"))?;
+                unit.set_entry(PMP_VIRT_BASE + slot, entry);
+                Ok(())
+            }
+            (_, prot) => Err(mismatch(prot)),
         }
     }
 }
@@ -303,50 +343,7 @@ pub struct ArmRegionPlan {
 }
 
 impl ArmRegionPlan {
-    /// The static regions 0–2 shared by every operation.
-    pub fn base_regions(&self) -> [(usize, MpuRegion); 3] {
-        self.base
-    }
-
-    /// The region-3 (operation data section) region for `op`.
-    pub fn section_region(&self, op: OpId) -> MpuRegion {
-        self.sections[usize::from(op)]
-    }
-
-    /// The prepared peripheral-cover regions for `op`.
-    pub fn periph_regions(&self, op: OpId) -> &[MpuRegion] {
-        &self.periph[usize::from(op)]
-    }
-}
-
-/// The ARMv7-M MPU backend: the paper's platform.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Armv7mBackend;
-
-impl opec_vm::MachineBackend for Armv7mBackend {
-    const NAME: &'static str = "armv7m";
-
-    fn install(&self, machine: &mut Machine) {
-        machine.set_protection(Box::new(opec_armv7m::Mpu::new()));
-    }
-}
-
-/// Reserved virtualization slots on ARM (MPU regions 4–7).
-const ARM_VIRT_SLOTS: usize = 4;
-
-impl Backend for Armv7mBackend {
-    const NAME: &'static str = "armv7m";
-    type RegionPlan = ArmRegionPlan;
-    type Fault = FaultCause;
-    type SwitchCost = ArmSwitchCost;
-
-    fn make_machine(&self, board: Board) -> Machine {
-        // `Machine::new` installs the ARMv7-M MPU: the back-compat
-        // default *is* this backend.
-        Machine::new(board)
-    }
-
-    fn plan(&self, policy: &SystemPolicy) -> ArmRegionPlan {
+    fn new(policy: &SystemPolicy) -> ArmRegionPlan {
         // Region 0: code + SRAM read-only (privileged RW) — the
         // background that lets unprivileged code read Flash, rodata,
         // the public section and the relocation table, while every
@@ -385,96 +382,118 @@ impl Backend for Armv7mBackend {
         ArmRegionPlan { base, sections, periph, stack: policy.stack }
     }
 
-    fn enable(&self, machine: &mut Machine) -> Result<(), String> {
-        let mpu = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<opec_armv7m::Mpu>()
-            .ok_or("armv7m backend: machine protection unit is not the ARMv7-M MPU")?;
-        mpu.enabled = true;
-        mpu.priv_default_enabled = true;
-        Ok(())
+    /// The static regions 0–2 shared by every operation.
+    pub fn base_regions(&self) -> [(usize, MpuRegion); 3] {
+        self.base
     }
 
-    fn virt_slots(&self) -> usize {
-        ARM_VIRT_SLOTS
+    /// The region-3 (operation data section) region for `op`.
+    pub fn section_region(&self, op: OpId) -> MpuRegion {
+        self.sections[usize::from(op)]
     }
 
-    fn virt_slot_label(&self, slot: usize) -> u8 {
-        (ARM_VIRT_SLOTS + slot) as u8
+    /// The prepared peripheral-cover regions for `op`.
+    pub fn periph_regions(&self, op: OpId) -> &[MpuRegion] {
+        &self.periph[usize::from(op)]
     }
 
-    fn write_cost(&self) -> u64 {
-        costs::MPU_REGION_WRITE
-    }
-
-    fn op_write_count(&self, plan: &ArmRegionPlan, op: OpId) -> u32 {
-        let preload = plan.periph[usize::from(op)].len().min(ARM_VIRT_SLOTS);
-        (plan.base.len() + 1 + preload) as u32
-    }
-
-    fn apply_op(
-        &self,
-        machine: &mut Machine,
-        plan: &ArmRegionPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<ArmSwitchCost, String> {
+    fn op_regions(&self, op: OpId, boundary: u32) -> Vec<(usize, MpuRegion)> {
         // Translate the exact boundary back into the sub-region
         // disable mask: sub-regions `idx..8` (previous operations'
         // frames) are disabled. `boundary == stack.end()` is the whole
         // stack (reset state), mask 0.
-        let sub = plan.stack.size / 8;
-        let idx = ((boundary.saturating_sub(plan.stack.base)) / sub).min(8);
+        let sub = self.stack.size / 8;
+        let idx = ((boundary.saturating_sub(self.stack.base)) / sub).min(8);
         let srd = if idx >= 8 { 0 } else { (0xFFu32 << idx) as u8 };
         let mut regions: Vec<(usize, MpuRegion)> = Vec::with_capacity(8);
-        for (n, mut r) in plan.base {
+        for (n, mut r) in self.base {
             if n == 2 {
                 r.srd = srd;
             }
             regions.push((n, r));
         }
-        regions.push((3, plan.section_region(op)));
-        for (i, r) in plan.periph[usize::from(op)].iter().take(ARM_VIRT_SLOTS).enumerate() {
+        regions.push((3, self.section_region(op)));
+        for (i, r) in self.periph[usize::from(op)].iter().take(ARM_VIRT_SLOTS).enumerate() {
             regions.push((ARM_VIRT_SLOTS + i, *r));
         }
-        machine.mpu_mut().load_regions(&regions).map_err(|e| format!("MPU programming: {e}"))?;
-        Ok(ArmSwitchCost { regions: regions.len() as u32 })
+        regions
     }
+}
 
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &ArmRegionPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String> {
-        let region = plan.periph[usize::from(op)]
-            .get(widx)
-            .copied()
-            .ok_or_else(|| format!("no prepared MPU region for peripheral window {widx}"))?;
-        machine
-            .mpu_mut()
-            .set_region(ARM_VIRT_SLOTS + slot, region)
-            .map_err(|e| format!("MPU virtualization failed: {e}"))
-    }
+/// The PMP entry plan: per-operation entry files precomputed from a
+/// [`SystemPolicy`].
+///
+/// Entry order (lowest wins, so the most specific comes first):
+///
+/// | # | what | mode | perms |
+/// |---|------|------|-------|
+/// | 0–1 | live stack `[base, boundary)` | TOR pair | RW |
+/// | 2 | operation data section | NAPOT | RW |
+/// | 3–8 | peripheral covers (first six) | NAPOT | RW |
+/// | 9 | Flash | NAPOT | R+X |
+/// | 10 | SRAM background | NAPOT | R |
+#[derive(Debug, Clone)]
+pub struct PmpPlan {
+    stack: MemRegion,
+    sections: Vec<PmpEntry>,
+    periph: Vec<Vec<PmpEntry>>,
+    flash: PmpEntry,
+    sram: PmpEntry,
+}
 
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
-        let sub = stack.size / 8;
-        let idx = ((sp.checked_sub(stack.base)?) / sub).min(8);
-        if idx == 0 {
-            return None;
+fn napot_entry(window: MemRegion, w: bool, x: bool) -> PmpEntry {
+    let (base, size) = napot_cover(window.base, window.size);
+    PmpEntry { r: true, w, x, mode: PmpMode::Napot, addr: napot_addr(base, size) }
+}
+
+impl PmpPlan {
+    fn new(policy: &SystemPolicy) -> PmpPlan {
+        let rw = |window: MemRegion| napot_entry(window, true, false);
+        PmpPlan {
+            stack: policy.stack,
+            sections: policy.ops.iter().map(|o| rw(o.section)).collect(),
+            periph: policy
+                .ops
+                .iter()
+                .map(|o| o.periph_covers.iter().map(|c| rw(*c)).collect())
+                .collect(),
+            flash: napot_entry(policy.board.flash, false, true),
+            sram: napot_entry(policy.board.sram, false, false),
         }
-        Some(stack.base + idx * sub)
     }
 
-    fn boundary_granularity(&self, stack: MemRegion) -> u32 {
-        (stack.size / 8).max(1)
+    /// The entry protecting `op`'s data section.
+    pub fn section_entry(&self, op: OpId) -> PmpEntry {
+        self.sections[usize::from(op)]
     }
 
-    fn classify_fault(&self, fault: &FaultInfo) -> FaultCause {
-        fault.cause
+    /// The prepared peripheral-cover entries for `op`.
+    pub fn periph_entries(&self, op: OpId) -> &[PmpEntry] {
+        &self.periph[usize::from(op)]
+    }
+
+    /// The Flash (R+X) and SRAM (read-only) background entries.
+    pub fn background(&self) -> (PmpEntry, PmpEntry) {
+        (self.flash, self.sram)
+    }
+
+    fn op_entries(&self, op: OpId, boundary: u32) -> Vec<(usize, PmpEntry)> {
+        let mut entries: Vec<(usize, PmpEntry)> = Vec::with_capacity(11);
+        // The live-stack TOR pair: entry 0 (any mode; only its addr
+        // matters) anchors the bottom, entry 1 bounds the top exactly
+        // at the boundary — no sub-region rounding.
+        entries.push((0, PmpEntry { addr: self.stack.base >> 2, ..PmpEntry::OFF }));
+        entries.push((
+            1,
+            PmpEntry { r: true, w: true, x: false, mode: PmpMode::Tor, addr: boundary >> 2 },
+        ));
+        entries.push((2, self.section_entry(op)));
+        for (i, e) in self.periph[usize::from(op)].iter().take(PMP_VIRT_SLOTS).enumerate() {
+            entries.push((PMP_VIRT_BASE + i, *e));
+        }
+        entries.push((PMP_FLASH_ENTRY, self.flash));
+        entries.push((PMP_SRAM_ENTRY, self.sram));
+        entries
     }
 }
 
@@ -488,40 +507,62 @@ mod tests {
 
     #[test]
     fn arm_boundary_rounds_down_to_subregions() {
-        let b = Armv7mBackend;
+        let b = Backend::Armv7m;
         let s = stack();
         // SP in the middle of sub-region 5 rounds down to its base.
-        assert_eq!(
-            Backend::stack_boundary(&b, s, s.base + 5 * 0x200 + 0x57),
-            Some(s.base + 5 * 0x200)
-        );
+        assert_eq!(b.stack_boundary(s, s.base + 5 * 0x200 + 0x57), Some(s.base + 5 * 0x200));
         // SP at the very top keeps the whole stack.
-        assert_eq!(Backend::stack_boundary(&b, s, s.end()), Some(s.end()));
+        assert_eq!(b.stack_boundary(s, s.end()), Some(s.end()));
         // SP inside the lowest sub-region leaves nothing usable.
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 0x1FF), None);
-        assert_eq!(Backend::boundary_granularity(&b, s), 0x200);
+        assert_eq!(b.stack_boundary(s, s.base + 0x1FF), None);
+        assert_eq!(b.boundary_granularity(s), 0x200);
     }
 
     #[test]
-    fn arm_fault_classes() {
-        let b = Armv7mBackend;
-        let fi = |cause| FaultInfo {
-            address: 0,
-            len: 4,
-            kind: opec_armv7m::AccessKind::Read,
-            cause,
-            pc: 0,
-            write_value: None,
-        };
-        assert_eq!(b.fault_class(&fi(FaultCause::MpuViolation)), FaultClass::Protection);
-        assert_eq!(b.fault_class(&fi(FaultCause::PpbUnprivileged)), FaultClass::ControlPriv);
-        assert_eq!(b.fault_class(&fi(FaultCause::Unmapped)), FaultClass::Other);
+    fn pmp_boundary_is_word_granular() {
+        let b = Backend::Rv32Pmp;
+        let s = stack();
+        assert_eq!(b.stack_boundary(s, s.base + 0x57), Some(s.base + 0x54));
+        assert_eq!(b.stack_boundary(s, s.end()), Some(s.end()));
+        // SP at (or rounding to) the base leaves no live stack.
+        assert_eq!(b.stack_boundary(s, s.base + 3), None);
+        assert_eq!(b.stack_boundary(s, s.base), None);
+        assert_eq!(b.boundary_granularity(s), 4);
     }
 
     #[test]
-    fn switch_cost_folds_to_summary() {
-        let s: SwitchCostSummary = ArmSwitchCost { regions: 6 }.into();
-        assert_eq!(s.writes, 6);
-        assert_eq!(s.cycles, 6 * costs::MPU_REGION_WRITE);
+    fn fault_classes() {
+        assert_eq!(FaultClass::from(FaultCause::MpuViolation), FaultClass::Protection);
+        assert_eq!(FaultClass::from(FaultCause::PpbUnprivileged), FaultClass::ControlPriv);
+        assert_eq!(FaultClass::from(FaultCause::Unmapped), FaultClass::Other);
+    }
+
+    #[test]
+    fn backend_names_parse_and_round_trip() {
+        for b in Backend::ALL {
+            assert_eq!(Backend::from_name(b.name()), Ok(b));
+            assert_eq!(b.dyn_backend(), b);
+        }
+        assert_eq!(Backend::Armv7m.name(), "armv7m");
+        assert_eq!(Backend::Rv32Pmp.name(), "rv32-pmp");
+        assert_eq!(Backend::default(), Backend::Armv7m);
+        assert!(Backend::Armv7m.has_aces());
+        assert!(!Backend::Rv32Pmp.has_aces());
+        assert_eq!(Backend::list_from_flag(None).unwrap(), Backend::ALL.to_vec());
+        assert_eq!(Backend::list_from_flag(Some("rv32-pmp")).unwrap(), vec![Backend::Rv32Pmp]);
+        let err = Backend::list_from_flag(Some("avr")).unwrap_err();
+        assert!(err.contains("avr") && err.contains("armv7m or rv32-pmp"), "{err}");
+    }
+
+    #[test]
+    fn each_backend_builds_its_own_unit() {
+        let board = Board::stm32f4_discovery();
+        assert_eq!(Backend::Armv7m.make_machine(board).protection().name(), "armv7m-mpu");
+        assert_eq!(Backend::Rv32Pmp.make_machine(board).protection().name(), "rv32-pmp");
+        // A backend cannot arm the other backend's unit.
+        let mut pmp_machine = Backend::Rv32Pmp.make_machine(board);
+        let err = Backend::Armv7m.enable(&mut pmp_machine).unwrap_err();
+        assert!(err.contains("rv32-pmp"), "{err}");
+        assert!(!pmp_machine.protection().enforcing());
     }
 }

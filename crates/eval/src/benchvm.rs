@@ -25,13 +25,12 @@ use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_armv7m::{Board, Machine};
-use opec_core::{compile, OpecMonitor};
+use opec_core::{compile, Backend, OpecMonitor};
 use opec_ir::{BinOp, Module, ModuleBuilder, Operand, Ty};
 use opec_vm::{link_baseline, ExecMode, LoadedImage, Supervisor, Vm};
 
 use opec_campaign::CampaignReport;
 
-use crate::backend::BackendSel;
 use crate::check::run_lockstep_campaign;
 use crate::engine::EngineOpts;
 use crate::runs::FUEL;
@@ -168,22 +167,16 @@ fn micro_throughput() -> Throughput {
     })
 }
 
-fn opec_throughput(app: &App, sel: BackendSel) -> Throughput {
+fn opec_throughput(app: &App, backend: Backend) -> Throughput {
     let (module, specs) = (app.build)();
     let out =
         compile(module, app.board, &specs).unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
     let policy = out.policy.clone();
     let image = std::sync::Arc::new(out.image);
-    let backend = sel.dyn_backend();
     throughput(app.name.to_string(), "OPEC", APP_REPS, |mode| {
         let mut m = backend.make_machine(app.board);
         (app.setup)(&mut m);
-        timed_run(
-            image.clone(),
-            OpecMonitor::with_backend(policy.clone(), std::sync::Arc::clone(&backend)),
-            m,
-            mode,
-        )
+        timed_run(image.clone(), OpecMonitor::with_backend(policy.clone(), backend), m, mode)
     })
 }
 
@@ -210,14 +203,13 @@ impl SwitchCost {
     }
 }
 
-fn switch_costs(sel: BackendSel) -> Vec<SwitchCost> {
+fn switch_costs(backend: Backend) -> Vec<SwitchCost> {
     all_apps()
         .iter()
         .map(|app| {
             let (module, specs) = (app.build)();
             let out = compile(module, app.board, &specs)
                 .unwrap_or_else(|e| panic!("{} compile: {e}", app.name));
-            let backend = sel.dyn_backend();
             let mut m = backend.make_machine(app.board);
             (app.setup)(&mut m);
             let mut vm = Vm::builder(m, out.image)
@@ -312,7 +304,7 @@ fn campaign_bench() -> CampaignBench {
 /// (non-zero must fail the caller).
 pub fn bench_vm(gen_seeds: u64) -> (String, u64) {
     let (doc, bad, _) =
-        bench_vm_campaign(gen_seeds, &EngineOpts::default(), BackendSel::Armv7m).expect("bench-vm");
+        bench_vm_campaign(gen_seeds, &EngineOpts::default(), Backend::Armv7m).expect("bench-vm");
     (doc, bad)
 }
 
@@ -325,7 +317,7 @@ pub fn bench_vm(gen_seeds: u64) -> (String, u64) {
 pub fn bench_vm_campaign(
     gen_seeds: u64,
     engine: &EngineOpts,
-    sel: BackendSel,
+    sel: Backend,
 ) -> Result<(String, u64, CampaignReport), String> {
     let mut out = String::from("{\n");
     writeln!(out, "  \"schema\": \"opec-bench-vm-v1\",").expect("write to String");
@@ -364,14 +356,14 @@ pub fn bench_vm_campaign(
 
     eprintln!("[bench-vm] per-backend protection-switch costs (both backends)...");
     out.push_str("  \"switch_costs\": {\n");
-    for (bi, backend) in BackendSel::ALL.iter().enumerate() {
+    for (bi, backend) in Backend::ALL.iter().enumerate() {
         let costs = switch_costs(*backend);
         writeln!(out, "    \"{}\": [", backend.name()).expect("write to String");
         for (i, c) in costs.iter().enumerate() {
             writeln!(out, "      {}{}", c.json(), if i + 1 < costs.len() { "," } else { "" })
                 .expect("write to String");
         }
-        writeln!(out, "    ]{}", if bi + 1 < BackendSel::ALL.len() { "," } else { "" })
+        writeln!(out, "    ]{}", if bi + 1 < Backend::ALL.len() { "," } else { "" })
             .expect("write to String");
     }
     out.push_str("  },\n");

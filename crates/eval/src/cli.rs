@@ -51,6 +51,8 @@
 //! For backward compatibility `csv DIR` and `bench-json FILE` also
 //! accept their original positional operand.
 
+use opec_core::Backend;
+
 /// Parsed command-line arguments, shared by every subcommand.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CliArgs {
@@ -113,6 +115,13 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
+    /// Resolves `--backend`; absence means ARMv7-M (back-compat with
+    /// every pre-backend invocation). An unknown name is a usage error
+    /// (the caller exits 2).
+    pub fn selected_backend(&self) -> Result<Backend, String> {
+        self.backend.as_deref().map_or(Ok(Backend::Armv7m), Backend::from_name)
+    }
+
     /// Parses everything after the subcommand word.
     pub fn parse<I: Iterator<Item = String>>(mut args: I) -> Result<CliArgs, String> {
         let mut out = CliArgs::default();
@@ -316,6 +325,15 @@ mod tests {
         assert_eq!(a.seeds, Some(7));
         assert_eq!(a.json.as_deref(), Some("m.json"));
         assert_eq!(a.positional, vec!["results".to_string()]);
+    }
+
+    #[test]
+    fn backend_flag_defaults_to_armv7m() {
+        assert_eq!(parse(&[]).unwrap().selected_backend(), Ok(Backend::Armv7m));
+        let pmp = parse(&["--backend", "rv32-pmp"]).unwrap();
+        assert_eq!(pmp.selected_backend(), Ok(Backend::Rv32Pmp));
+        let avr = parse(&["--backend", "avr"]).unwrap();
+        assert!(avr.selected_backend().unwrap_err().contains("avr"));
     }
 
     #[test]

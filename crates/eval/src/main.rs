@@ -15,11 +15,11 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use opec_apps::programs::all_apps;
+use opec_core::Backend;
 use opec_eval::engine::EngineOpts;
-use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, BackendSel, CliArgs};
+use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, CliArgs};
 use opec_fleet::{
-    fleet_bench, resolve_workers, run_fleet, BenchConfig, FleetBackend, FleetConfig, FleetShared,
-    Mix, ServeState,
+    fleet_bench, resolve_workers, run_fleet, BenchConfig, FleetConfig, FleetShared, Mix, ServeState,
 };
 
 /// The usage text (`opec-eval help`).
@@ -270,7 +270,7 @@ fn main() {
         }
         "bench-vm" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = args.selected_backend().unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(16);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -299,7 +299,7 @@ fn main() {
         }
         "attack-matrix" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = args.selected_backend().unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(4);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -345,7 +345,7 @@ fn main() {
                 "--lockstep",
                 "--corpus",
             ]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = args.selected_backend().unwrap_or_else(|e| fail(&e));
             let seeds = args.seeds.unwrap_or(16);
             let engine = EngineOpts::from_args(&args);
             let out = args.json.clone().map(|p| (create(&p), p));
@@ -426,7 +426,7 @@ fn main() {
                 "--time-to-find",
                 "--trials",
             ]));
-            let sel = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let sel = args.selected_backend().unwrap_or_else(|e| fail(&e));
             let out = args.json.clone().map(|p| (create(&p), p));
             if args.time_to_find {
                 if args.corpus.is_some() || args.mode.is_some() || args.journal.is_some() {
@@ -517,7 +517,7 @@ fn main() {
                 "--json",
             ]);
             let backends =
-                FleetBackend::list_from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
+                Backend::list_from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let mix = match args.mix.as_deref() {
                 Some(spec) => Mix::parse(spec).unwrap_or_else(|e| fail(&e)),
                 None => Mix::default(),
@@ -581,7 +581,7 @@ fn main() {
                 "--ring",
             ]);
             let backends =
-                FleetBackend::list_from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
+                Backend::list_from_flag(args.backend.as_deref()).unwrap_or_else(|e| fail(&e));
             let mix = match args.mix.as_deref() {
                 Some(spec) => Mix::parse(spec).unwrap_or_else(|e| fail(&e)),
                 None => Mix::default(),
@@ -641,7 +641,7 @@ fn main() {
         }
         "report" => {
             no_flags(&["--backend", "--obs-json", "--trace", "--apps", "--ring", "--funcs"]);
-            let _ = BackendSel::from_args(&args).unwrap_or_else(|e| fail(&e));
+            let _ = args.selected_backend().unwrap_or_else(|e| fail(&e));
             // Fail on unwritable artifact paths before the runs.
             let obs_out = args.obs_json.clone().map(|p| (create(&p), p));
             let trace_out = args.trace.clone().map(|p| (create(&p), p));

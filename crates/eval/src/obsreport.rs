@@ -26,11 +26,10 @@ use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_armv7m::Machine;
-use opec_core::{compile, OpecMonitor};
+use opec_core::{compile, Backend, OpecMonitor};
 use opec_obs::{chrome_trace, metrics_json, Metrics, Obs, Recorder, Stamped};
 use opec_vm::{RunOutcome, Vm};
 
-use crate::backend::BackendSel;
 use crate::cli::CliArgs;
 use crate::runs::FUEL;
 use crate::table::TextTable;
@@ -105,10 +104,9 @@ fn drain(
     }
 }
 
-fn run_opec_obs(app: &App, args: &CliArgs, sel: BackendSel) -> Result<ObsRun, String> {
+fn run_opec_obs(app: &App, args: &CliArgs, backend: Backend) -> Result<ObsRun, String> {
     let (module, specs) = (app.build)();
     let out = compile(module, app.board, &specs).map_err(|e| format!("compile: {e}"))?;
-    let backend = sel.dyn_backend();
     let mut machine = backend.make_machine(app.board);
     (app.setup)(&mut machine);
     let rec = recorder(args);
@@ -122,7 +120,7 @@ fn run_opec_obs(app: &App, args: &CliArgs, sel: BackendSel) -> Result<ObsRun, St
         return Err(format!("unexpected outcome {run:?}"));
     }
     (app.check)(&mut vm.machine).map_err(|e| format!("check: {e}"))?;
-    Ok(drain(app, "opec", sel.name(), run.cycles(), &rec))
+    Ok(drain(app, "opec", backend.name(), run.cycles(), &rec))
 }
 
 fn run_aces_obs(app: &App, args: &CliArgs) -> Result<ObsRun, String> {
@@ -157,11 +155,8 @@ fn run_aces_obs(app: &App, args: &CliArgs) -> Result<ObsRun, String> {
 /// The backends the report instruments: both when `--backend` is
 /// absent (the per-backend switch-cost comparison is the point of the
 /// report), just the named one otherwise.
-fn selected_backends(args: &CliArgs) -> Vec<BackendSel> {
-    match args.backend {
-        None => BackendSel::ALL.to_vec(),
-        Some(_) => vec![BackendSel::from_args(args).unwrap_or_default()],
-    }
+fn selected_backends(args: &CliArgs) -> Vec<Backend> {
+    Backend::list_from_flag(args.backend.as_deref()).unwrap_or_default()
 }
 
 /// Runs every selected cell (apps × backends × {OPEC, ACES}) on scoped
@@ -170,7 +165,7 @@ pub fn collect(args: &CliArgs) -> ObsReport {
     let apps: Vec<App> = all_apps().into_iter().filter(|a| args.app_matches(a.name)).collect();
     let aces_names: Vec<&'static str> = aces_comparison_apps().iter().map(|a| a.name).collect();
     let backends = selected_backends(args);
-    let aces_available = backends.contains(&BackendSel::Armv7m);
+    let aces_available = backends.contains(&Backend::Armv7m);
     let mut runs = Vec::new();
     let mut skipped = Vec::new();
     thread::scope(|s| {
@@ -294,7 +289,7 @@ fn render_switch_costs(report: &ObsReport) -> String {
         "Unit reloads+writes",
         "Per switch",
     ]);
-    for sel in BackendSel::ALL {
+    for sel in Backend::ALL {
         let runs: Vec<_> =
             report.runs.iter().filter(|r| r.system == "opec" && r.backend == sel.name()).collect();
         if runs.is_empty() {

@@ -11,9 +11,9 @@
 //! hardware.
 
 use opec_apps::programs::all_apps;
+use opec_core::Backend;
 use opec_eval::check::{check_opec_app, BudgetHalt, CaseResult};
 use opec_eval::engine::RunLimits;
-use opec_eval::BackendSel;
 
 fn verdict(case: &CaseResult) -> Result<(), String> {
     if case.total > 0 {
@@ -30,7 +30,7 @@ fn access_matrix_verdicts_agree_on_both_backends() {
     let limits = RunLimits::unsupervised();
     for app in all_apps() {
         let mut verdicts = Vec::new();
-        for sel in BackendSel::ALL {
+        for sel in Backend::ALL {
             let (case, crosschecks, halt) = check_opec_app(&app, &limits, sel);
             assert!(
                 matches!(halt, BudgetHalt::Ran),

@@ -146,7 +146,7 @@ impl ServeState {
         let backend = backends[0];
         let budget =
             RunBudget { fuel: FIRMWARE_FUEL, deadline: Some(Instant::now() + FIRMWARE_TIMEOUT) };
-        let verdict = run_opec_on(&spec, None, &budget, backend.dyn_backend())?;
+        let verdict = run_opec_on(&spec, None, &budget, backend)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let json = format!(
             "{{\"id\": {id}, \"backend\": \"{}\", \"seed\": {}, \"clean\": {}, \

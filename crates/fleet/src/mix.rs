@@ -9,11 +9,6 @@
 //! representative mix, and the assignment is a pure function of the
 //! device id (which is what makes worker-count determinism possible).
 
-use std::sync::Arc;
-
-use opec_core::{Armv7mBackend, DynBackend};
-use opec_pmp::Rv32PmpBackend;
-
 /// A firmware kind a fleet device can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DeviceKind {
@@ -55,49 +50,9 @@ impl DeviceKind {
     }
 }
 
-/// A protection backend a fleet device can run under.
-///
-/// Mirrors the eval crate's selector; the fleet crate sits below eval
-/// so it carries its own copy of the two-variant vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetBackend {
-    /// The paper's ARMv7-M MPU.
-    #[default]
-    Armv7m,
-    /// The §7 RISC-V PMP port.
-    Rv32Pmp,
-}
-
-impl FleetBackend {
-    /// Both backends, in CLI-vocabulary order.
-    pub const ALL: [FleetBackend; 2] = [FleetBackend::Armv7m, FleetBackend::Rv32Pmp];
-
-    /// The stable CLI/report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            FleetBackend::Armv7m => "armv7m",
-            FleetBackend::Rv32Pmp => "rv32-pmp",
-        }
-    }
-
-    /// Resolves a CLI backend name; `None` means both backends.
-    pub fn list_from_flag(flag: Option<&str>) -> Result<Vec<FleetBackend>, String> {
-        match flag {
-            None => Ok(FleetBackend::ALL.to_vec()),
-            Some("armv7m") => Ok(vec![FleetBackend::Armv7m]),
-            Some("rv32-pmp") => Ok(vec![FleetBackend::Rv32Pmp]),
-            Some(other) => Err(format!("unknown backend {other:?} (expected armv7m or rv32-pmp)")),
-        }
-    }
-
-    /// The erased backend the monitor stack programs against.
-    pub fn dyn_backend(self) -> Arc<dyn DynBackend> {
-        match self {
-            FleetBackend::Armv7m => Arc::new(Armv7mBackend),
-            FleetBackend::Rv32Pmp => Arc::new(Rv32PmpBackend),
-        }
-    }
-}
+/// A protection backend a fleet device can run under: the core
+/// backend enum under the name the fleet API has always used.
+pub use opec_core::Backend as FleetBackend;
 
 /// A weighted firmware mix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,15 +157,5 @@ mod tests {
         // Same id, same assignment, regardless of fleet size.
         let bigger = plan_devices(100, &mix, &FleetBackend::ALL);
         assert_eq!(&bigger[..10], &plan[..]);
-    }
-
-    #[test]
-    fn backend_flag_resolution() {
-        assert_eq!(FleetBackend::list_from_flag(None).unwrap(), FleetBackend::ALL.to_vec());
-        assert_eq!(
-            FleetBackend::list_from_flag(Some("rv32-pmp")).unwrap(),
-            vec![FleetBackend::Rv32Pmp]
-        );
-        assert!(FleetBackend::list_from_flag(Some("avr")).unwrap_err().contains("avr"));
     }
 }

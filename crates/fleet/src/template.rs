@@ -94,14 +94,13 @@ impl Template {
     /// replaces (and the benchmark's comparison baseline). `sinks`
     /// become the VM's obs stream.
     pub fn fresh_vm(&self, obs: Obs) -> Result<Vm<OpecMonitor>, String> {
-        let backend = self.backend.dyn_backend();
-        let mut machine = backend.make_machine(self.board);
+        let mut machine = self.backend.make_machine(self.board);
         match &self.source {
             Source::App(app) => (app.setup)(&mut machine),
             Source::Fuzz(spec) => spec.install_devices(&mut machine),
         }
         let mut vm = Vm::builder(machine, self.image.clone())
-            .supervisor(OpecMonitor::with_backend(self.policy.clone(), backend))
+            .supervisor(OpecMonitor::with_backend(self.policy.clone(), self.backend))
             .obs(obs)
             .build()
             .map_err(|e| format!("{} template image: {e:?}", self.kind.name()))?;

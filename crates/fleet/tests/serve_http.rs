@@ -10,6 +10,9 @@ use std::time::Duration;
 
 use opec_campaign::json;
 use opec_fleet::{run_fleet, serve, FleetConfig, FleetShared, ServeState};
+use opec_oracle::corpus::spec_json;
+use opec_oracle::gen::Stmt;
+use opec_oracle::generate;
 
 /// One request over a fresh connection (the server is
 /// `Connection: close`), returning `(status_line, body)`.
@@ -104,5 +107,42 @@ fn serve_answers_scrapes_while_a_fleet_runs() {
     let outcome = fleet.join().expect("fleet thread").expect("fleet outcome");
     assert_eq!(outcome.devices.len(), 8);
     assert!(outcome.panics.is_empty(), "device panics: {:?}", outcome.panics);
+    server.join().expect("server thread").expect("server exits cleanly");
+}
+
+/// Hostile `POST /firmware` bodies cost only their own request: each
+/// gets a 400, and the server thread survives to answer `/metrics`.
+#[test]
+fn hostile_firmware_bodies_get_400_and_serving_continues() {
+    let shared = Arc::new(FleetShared::new(1));
+    let state = Arc::new(ServeState::new(shared.clone()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || serve(listener, state));
+
+    // A plan whose `main` holds one out-of-range index: a call to
+    // function 999, a load of global 77, an access to peripheral 9.
+    let plan_with = |stmt: Stmt| {
+        let mut spec = generate(3);
+        spec.funcs[0].body.push(stmt);
+        spec_json(&spec)
+    };
+    let bodies = [
+        // Half a MiB of `[`: under the 1 MiB request cap, and deep
+        // enough to overflow an unbounded recursive parser's stack.
+        "[".repeat(512 * 1024),
+        plan_with(Stmt::Call { f: 999 }),
+        plan_with(Stmt::LoadG { g: 77, off: 0 }),
+        plan_with(Stmt::Mmio { p: 9, reg: 0, write: false }),
+    ];
+    for body in &bodies {
+        let (status, reply) = request(addr, "POST", "/firmware", body);
+        assert_eq!(status, "HTTP/1.1 400 Bad Request", "{reply}");
+        let (status, metrics) = request(addr, "GET", "/metrics", "");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+        assert!(metrics.contains("opec_fleet_devices"));
+    }
+
+    shared.stop.store(true, Ordering::Relaxed);
     server.join().expect("server thread").expect("server exits cleanly");
 }

@@ -77,8 +77,6 @@ impl Corpus {
                 .map_err(|e| format!("corpus entry {}: {e}", path.display()))?;
             let entry = entry_from_json(&text)
                 .map_err(|e| format!("corpus entry {}: {e}", path.display()))?;
-            well_formed(&entry.spec)
-                .map_err(|e| format!("corpus entry {}: ill-formed plan: {e}", path.display()))?;
             raw.push(entry);
         }
         let mut c = Corpus { dir: Some(dir.to_path_buf()), ..Corpus::default() };
@@ -227,7 +225,8 @@ fn stmt_from(v: &Value) -> Result<Stmt, String> {
     })
 }
 
-/// Parses a plan from its canonical JSON.
+/// Parses a plan from its canonical JSON. The plan must be
+/// [`well_formed`]: every call, global and peripheral index in range.
 pub fn spec_from(v: &Value) -> Result<FirmwareSpec, String> {
     let seed = need_u64(v, "seed")?;
     let periph_bases = v
@@ -275,7 +274,10 @@ pub fn spec_from(v: &Value) -> Result<FirmwareSpec, String> {
             Ok::<_, String>(FuncSpec { cluster, entry_of, body })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(FirmwareSpec { seed, periph_bases, globals, funcs })
+    let spec = FirmwareSpec { seed, periph_bases, globals, funcs };
+    // Indices out of range would panic the module builder downstream.
+    well_formed(&spec).map_err(|e| format!("ill-formed plan: {e}"))?;
+    Ok(spec)
 }
 
 /// Renders a corpus entry (plan + coverage + key) as canonical JSON.

@@ -4,13 +4,11 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
 use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
 use opec_armv7m::Machine;
-use opec_core::backend::{Armv7mBackend, DynBackend};
-use opec_core::{compile, OpecMonitor, SystemPolicy};
+use opec_core::{compile, Backend, OpecMonitor, SystemPolicy};
 use opec_ir::FuncId;
 use opec_obs::{Obs, OpId};
 use opec_vm::{Vm, VmError};
@@ -111,7 +109,7 @@ pub fn run_opec_with(
     mutate: Option<&dyn Fn(&mut SystemPolicy)>,
     budget: &RunBudget,
 ) -> Result<Verdict, String> {
-    run_opec_on(spec, mutate, budget, Arc::new(Armv7mBackend))
+    run_opec_on(spec, mutate, budget, Backend::Armv7m)
 }
 
 /// [`run_opec`] on an explicit protection backend: the machine, its
@@ -123,7 +121,7 @@ pub fn run_opec_on(
     spec: &FirmwareSpec,
     mutate: Option<&dyn Fn(&mut SystemPolicy)>,
     budget: &RunBudget,
-    backend: Arc<dyn DynBackend>,
+    backend: Backend,
 ) -> Result<Verdict, String> {
     run_opec_cov(spec, mutate, budget, backend).map(|(v, _)| v)
 }
@@ -139,7 +137,7 @@ pub fn run_opec_cov(
     spec: &FirmwareSpec,
     mutate: Option<&dyn Fn(&mut SystemPolicy)>,
     budget: &RunBudget,
-    backend: Arc<dyn DynBackend>,
+    backend: Backend,
 ) -> Result<(Verdict, CoverageMap), String> {
     let board = spec.board();
     let module = spec.build_module();

@@ -11,9 +11,8 @@
 use proptest::prelude::*;
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 
-use opec_core::backend::Armv7mBackend;
+use opec_core::Backend;
 use opec_oracle::{generate, mutate, run_opec_cov, Corpus, CoverageMap, RunBudget};
 
 static CASE: AtomicU32 = AtomicU32::new(0);
@@ -88,7 +87,7 @@ proptest! {
             .flat_map(|s| [mutate(&s, mut_seed), s])
             .enumerate()
         {
-            let (v, cov) = run_opec_cov(&spec, None, &budget, Arc::new(Armv7mBackend))
+            let (v, cov) = run_opec_cov(&spec, None, &budget, Backend::Armv7m)
                 .map_err(TestCaseError::fail)?;
             prop_assert!(v.clean(), "input {i}: {:?}", v.divergences);
             corpus.admit(spec, cov);
@@ -108,7 +107,7 @@ proptest! {
 
         let mut replayed = CoverageMap::new();
         for e in &loaded.entries {
-            let (_, cov) = run_opec_cov(&e.spec, None, &budget, Arc::new(Armv7mBackend))
+            let (_, cov) = run_opec_cov(&e.spec, None, &budget, Backend::Armv7m)
                 .map_err(TestCaseError::fail)?;
             replayed.merge(&cov);
         }

@@ -1,43 +1,30 @@
-//! RISC-V Physical Memory Protection (PMP): OPEC's second backend.
+//! The RISC-V Physical Memory Protection (PMP) model: OPEC's second
+//! protection unit.
 //!
 //! The paper's §7 names three requirements for porting OPEC to another
 //! platform, the first being "a memory protection unit, which has
 //! enough regions enforcing the physical memory permissions similar to
-//! the ARM MPU, e.g., RISC-V PMP". This crate substantiates that claim
-//! as a first-class backend rather than a one-shot encoder:
+//! the ARM MPU, e.g., RISC-V PMP". This crate is that unit's
+//! behavioural model and nothing else:
 //!
 //! * [`Pmp`] models the RV32 PMP as specified in the privileged ISA —
 //!   sixteen entries with `R`/`W`/`X` permissions, `OFF`/`TOR`/`NA4`/
 //!   `NAPOT` address matching, **lowest-numbered-entry-wins** priority
 //!   (the opposite of the ARM MPU), and the M-mode default-allow /
 //!   S/U-mode default-deny rule;
-//! * [`PmpUnit`] plugs the model into the machine's
-//!   [`ProtectionUnit`] checking surface (operations run in U-mode,
-//!   the monitor in M-mode — modelled entries are unlocked, so M-mode
-//!   accesses are never constrained, exactly the real-PMP rule for
-//!   entries without the `L` bit);
-//! * [`Rv32PmpBackend`] implements the `opec-core`
-//!   [`Backend`] trait: per-operation entry files with a `TOR` pair
-//!   for the live part of the stack (PMP has no sub-regions, but
-//!   `TOR`'s arbitrary top bound expresses the boundary *exactly*, to
-//!   the word), `NAPOT` entries for the operation data section and
-//!   peripheral windows, and background entries for Flash
-//!   (read/execute) and SRAM (read-only).
+//! * [`napot_addr`], [`napot_decode`] and [`napot_cover`] encode and
+//!   decode naturally aligned power-of-two regions;
+//! * [`PmpUnit`] is the entry file plus its enable bit, the shape the
+//!   machine's protection unit (`opec_armv7m::Prot::Pmp`) holds.
+//!   Operations run in U-mode, the monitor in M-mode; modelled entries
+//!   are unlocked, so M-mode accesses are never constrained, exactly
+//!   the real-PMP rule for entries without the `L` bit.
 //!
-//! Core peripherals have no PMP analogue — on RISC-V they are CSRs,
-//! reachable only from M-mode, which is precisely the situation OPEC's
-//! load/store emulation handles on ARM (the monitor emulates the
-//! access from the trap handler); [`PmpFault::CsrPriv`] is that trap.
+//! The crate depends only on `opec-obs`. The machine (`opec-armv7m`)
+//! depends on it, and the rv32-pmp entry plan that programs it lives
+//! with the ARM region plan in `opec_core::backend`.
 
 #![warn(missing_docs)]
-
-use std::any::Any;
-
-use opec_armv7m::mpu::MpuDecision;
-use opec_armv7m::{Board, FaultCause, FaultInfo, Machine, MemRegion, Mode, ProtectionUnit};
-use opec_core::backend::{Backend, FaultClass, SwitchCostSummary};
-use opec_core::SystemPolicy;
-use opec_vm::OpId;
 
 /// Number of PMP entries modelled (RV32: up to 64; 16 is the common
 /// implementation size and plenty for OPEC's plan).
@@ -51,7 +38,7 @@ pub const NAPOT_MIN_SIZE: u32 = 8;
 
 /// Cycles one PMP entry write costs (a `pmpcfg` byte plus a `pmpaddr`
 /// CSR write — CSR writes are cheaper than the ARM MPU's two MMIO
-/// stores, which cost [`opec_armv7m::costs::MPU_REGION_WRITE`]).
+/// stores, which cost `opec_armv7m::costs::MPU_REGION_WRITE`).
 pub const PMP_ENTRY_WRITE: u64 = 4;
 
 /// Address-matching mode of one entry.
@@ -134,19 +121,21 @@ pub fn napot_decode(addr: u32) -> (u32, u32) {
     (base, size)
 }
 
-/// The smallest NAPOT region `(base, size)` containing `window`:
-/// `size` is a power of two ≥ [`NAPOT_MIN_SIZE`] and `base` is aligned
-/// to it. Misaligned windows grow until alignment and coverage meet
-/// (the same rounding the ARM plan applies with
-/// `region_size_for`, so both backends over-approximate peripheral
-/// windows the same way the hardware forces them to).
-pub fn napot_cover(window: MemRegion) -> (u32, u32) {
-    let mut size = window.size.next_power_of_two().max(NAPOT_MIN_SIZE);
+/// The smallest NAPOT region `(base, size)` containing the window
+/// `[window_base, window_base + window_size)`: `size` is a power of
+/// two ≥ [`NAPOT_MIN_SIZE`] and `base` is aligned to it. Misaligned
+/// windows grow until alignment and coverage meet (the same rounding
+/// the ARM plan applies with `region_size_for`, so both backends
+/// over-approximate peripheral windows the same way the hardware
+/// forces them to).
+pub fn napot_cover(window_base: u32, window_size: u32) -> (u32, u32) {
+    let window_end = window_base.saturating_add(window_size);
+    let mut size = window_size.next_power_of_two().max(NAPOT_MIN_SIZE);
     loop {
-        let base = window.base & !(size - 1);
+        let base = window_base & !(size - 1);
         // A cover whose end overflows reaches the top of the address
         // space, so it contains the window by construction.
-        let covered = base.checked_add(size).is_none_or(|end| window.end() <= end);
+        let covered = base.checked_add(size).is_none_or(|end| window_end <= end);
         if covered {
             return (base, size);
         }
@@ -272,33 +261,39 @@ impl Pmp {
     }
 }
 
-/// The PMP as a machine-pluggable [`ProtectionUnit`].
+/// The PMP as the machine's protection unit: the entry file plus the
+/// enable bit.
 ///
 /// OPEC's privilege split maps directly: operations run in U-mode
 /// (unmatched accesses denied), the monitor in M-mode. The modelled
 /// entries never set the lock bit, so — like real PMP — they do not
 /// constrain M-mode at all.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PmpUnit {
     /// The entry file.
     pub pmp: Pmp,
-    /// Whether an entry file has been armed ([`Rv32PmpBackend::enable`]
-    /// sets this at monitor initialisation; before that the machine
-    /// boots unconstrained, like reset-state PMP with all entries off).
+    /// Whether an entry file has been armed (the rv32-pmp backend sets
+    /// this at monitor initialisation; before that the machine boots
+    /// unconstrained, like reset-state PMP with all entries off).
     pub enabled: bool,
     obs: opec_obs::Obs,
-}
-
-impl Default for PmpUnit {
-    fn default() -> PmpUnit {
-        PmpUnit::new()
-    }
 }
 
 impl PmpUnit {
     /// A disabled unit with all entries off.
     pub fn new() -> PmpUnit {
-        PmpUnit { pmp: Pmp::new(), enabled: false, obs: opec_obs::Obs::disabled() }
+        PmpUnit::default()
+    }
+
+    /// Attaches an observability handle; entry writes and loads are
+    /// emitted as events.
+    pub fn attach_obs(&mut self, obs: opec_obs::Obs) {
+        self.obs = obs;
+    }
+
+    /// Detaches and returns the observability handle.
+    pub fn detach_obs(&mut self) -> opec_obs::Obs {
+        std::mem::take(&mut self.obs)
     }
 
     /// Programs entry `i`, emitting [`opec_obs::Event::PmpEntryWrite`].
@@ -317,313 +312,17 @@ impl PmpUnit {
         self.pmp.load(entries);
         self.obs.emit(|| opec_obs::Event::PmpLoad { entries: entries.len() as u8 });
     }
-}
 
-impl ProtectionUnit for PmpUnit {
-    fn name(&self) -> &'static str {
-        "rv32-pmp"
-    }
-
-    fn check_data(&self, addr: u32, len: u32, write: bool, mode: Mode) -> MpuDecision {
-        if !self.enabled || mode.is_privileged() {
-            return MpuDecision::Allowed;
-        }
+    /// Whether a data access of `len` bytes at `addr` is allowed. A
+    /// disabled unit and M-mode allow everything.
+    pub fn check_data(&self, addr: u32, len: u32, write: bool, mode: PrivMode) -> bool {
         let access = if write { PmpAccess::Write } else { PmpAccess::Read };
-        if self.pmp.check(addr, len, access, PrivMode::User) {
-            MpuDecision::Allowed
-        } else {
-            MpuDecision::Denied
-        }
+        !self.enabled || mode == PrivMode::Machine || self.pmp.check(addr, len, access, mode)
     }
 
-    fn check_exec(&self, addr: u32, mode: Mode) -> MpuDecision {
-        if !self.enabled || mode.is_privileged() {
-            return MpuDecision::Allowed;
-        }
-        if self.pmp.check(addr, 4, PmpAccess::Exec, PrivMode::User) {
-            MpuDecision::Allowed
-        } else {
-            MpuDecision::Denied
-        }
-    }
-
-    fn enforcing(&self) -> bool {
-        self.enabled
-    }
-
-    fn attach_obs(&mut self, obs: opec_obs::Obs) {
-        self.obs = obs;
-    }
-
-    fn clone_unit(&self) -> Box<dyn ProtectionUnit> {
-        Box::new(self.clone())
-    }
-
-    fn copy_unit_from(&mut self, src: &dyn ProtectionUnit) -> bool {
-        match src.as_any().downcast_ref::<PmpUnit>() {
-            Some(s) => {
-                self.pmp = s.pmp.clone();
-                self.enabled = s.enabled;
-                // `obs` is configuration, not state: the live unit and
-                // the snapshotted one were attached to the same stream.
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The PMP fault vocabulary ([`Backend::Fault`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PmpFault {
-    /// A PMP access fault (load/store/instruction): the U-mode access
-    /// matched no granting entry.
-    AccessFault,
-    /// An illegal-instruction trap from a U-mode CSR access — the
-    /// RISC-V shape of OPEC's core-peripheral emulation case.
-    CsrPriv,
-    /// Anything else (access to an unimplemented physical address).
-    Other,
-}
-
-impl From<PmpFault> for FaultClass {
-    fn from(f: PmpFault) -> FaultClass {
-        match f {
-            PmpFault::AccessFault => FaultClass::Protection,
-            PmpFault::CsrPriv => FaultClass::ControlPriv,
-            PmpFault::Other => FaultClass::Other,
-        }
-    }
-}
-
-/// The cost record of one PMP reprogramming.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PmpSwitchCost {
-    /// PMP entries (cfg + addr pairs) written.
-    pub entries: u32,
-}
-
-impl From<PmpSwitchCost> for SwitchCostSummary {
-    fn from(c: PmpSwitchCost) -> SwitchCostSummary {
-        SwitchCostSummary { writes: c.entries, cycles: u64::from(c.entries) * PMP_ENTRY_WRITE }
-    }
-}
-
-/// Reserved virtualization slots on PMP (entries 3–8: six, against the
-/// ARM MPU's four — sixteen entries leave room even with the stack
-/// pair and three background entries).
-const PMP_VIRT_SLOTS: usize = 6;
-/// First virtualization entry.
-const PMP_VIRT_BASE: usize = 3;
-/// Flash background entry (R+X).
-const PMP_FLASH_ENTRY: usize = PMP_VIRT_BASE + PMP_VIRT_SLOTS;
-/// SRAM read-only background entry.
-const PMP_SRAM_ENTRY: usize = PMP_FLASH_ENTRY + 1;
-
-/// The PMP entry plan: per-operation entry files precomputed from a
-/// [`SystemPolicy`].
-///
-/// Entry order (lowest wins, so the most specific comes first):
-///
-/// | # | what | mode | perms |
-/// |---|------|------|-------|
-/// | 0–1 | live stack `[base, boundary)` | TOR pair | RW |
-/// | 2 | operation data section | NAPOT | RW |
-/// | 3–8 | peripheral covers (first six) | NAPOT | RW |
-/// | 9 | Flash | NAPOT | R+X |
-/// | 10 | SRAM background | NAPOT | R |
-#[derive(Debug, Clone)]
-pub struct PmpPlan {
-    stack: MemRegion,
-    sections: Vec<PmpEntry>,
-    periph: Vec<Vec<PmpEntry>>,
-    flash: PmpEntry,
-    sram: PmpEntry,
-}
-
-impl PmpPlan {
-    /// The entry protecting `op`'s data section.
-    pub fn section_entry(&self, op: OpId) -> PmpEntry {
-        self.sections[usize::from(op)]
-    }
-
-    /// The prepared peripheral-cover entries for `op`.
-    pub fn periph_entries(&self, op: OpId) -> &[PmpEntry] {
-        &self.periph[usize::from(op)]
-    }
-
-    /// The Flash (R+X) and SRAM (read-only) background entries.
-    pub fn background(&self) -> (PmpEntry, PmpEntry) {
-        (self.flash, self.sram)
-    }
-}
-
-fn napot_rw(window: MemRegion) -> PmpEntry {
-    let (base, size) = napot_cover(window);
-    PmpEntry { r: true, w: true, x: false, mode: PmpMode::Napot, addr: napot_addr(base, size) }
-}
-
-/// The RISC-V PMP backend: the paper's §7 port, first-class.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rv32PmpBackend;
-
-impl opec_vm::MachineBackend for Rv32PmpBackend {
-    const NAME: &'static str = "rv32-pmp";
-
-    fn install(&self, machine: &mut Machine) {
-        machine.set_protection(Box::new(PmpUnit::new()));
-    }
-}
-
-impl Backend for Rv32PmpBackend {
-    const NAME: &'static str = "rv32-pmp";
-    type RegionPlan = PmpPlan;
-    type Fault = PmpFault;
-    type SwitchCost = PmpSwitchCost;
-
-    fn make_machine(&self, board: Board) -> Machine {
-        Machine::with_protection(board, Box::new(PmpUnit::new()))
-    }
-
-    fn plan(&self, policy: &SystemPolicy) -> PmpPlan {
-        let sections = policy.ops.iter().map(|o| napot_rw(o.section)).collect();
-        let periph = policy
-            .ops
-            .iter()
-            .map(|o| o.periph_covers.iter().map(|c| napot_rw(*c)).collect())
-            .collect();
-        let (fb, fs) = napot_cover(policy.board.flash);
-        let flash =
-            PmpEntry { r: true, w: false, x: true, mode: PmpMode::Napot, addr: napot_addr(fb, fs) };
-        let (sb, ss) = napot_cover(policy.board.sram);
-        let sram = PmpEntry {
-            r: true,
-            w: false,
-            x: false,
-            mode: PmpMode::Napot,
-            addr: napot_addr(sb, ss),
-        };
-        PmpPlan { stack: policy.stack, sections, periph, flash, sram }
-    }
-
-    fn enable(&self, machine: &mut Machine) -> Result<(), String> {
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.enabled = true;
-        Ok(())
-    }
-
-    fn virt_slots(&self) -> usize {
-        PMP_VIRT_SLOTS
-    }
-
-    fn virt_slot_label(&self, slot: usize) -> u8 {
-        (PMP_VIRT_BASE + slot) as u8
-    }
-
-    fn write_cost(&self) -> u64 {
-        PMP_ENTRY_WRITE
-    }
-
-    fn op_write_count(&self, plan: &PmpPlan, op: OpId) -> u32 {
-        let preload = plan.periph[usize::from(op)].len().min(PMP_VIRT_SLOTS);
-        // Stack pair (2) + section + Flash + SRAM background.
-        (5 + preload) as u32
-    }
-
-    fn apply_op(
-        &self,
-        machine: &mut Machine,
-        plan: &PmpPlan,
-        op: OpId,
-        boundary: u32,
-    ) -> Result<PmpSwitchCost, String> {
-        let mut entries: Vec<(usize, PmpEntry)> = Vec::with_capacity(11);
-        // The live-stack TOR pair: entry 0 (any mode; only its addr
-        // matters) anchors the bottom, entry 1 bounds the top exactly
-        // at the boundary — no sub-region rounding.
-        entries.push((
-            0,
-            PmpEntry {
-                r: false,
-                w: false,
-                x: false,
-                mode: PmpMode::Off,
-                addr: plan.stack.base >> 2,
-            },
-        ));
-        entries.push((
-            1,
-            PmpEntry { r: true, w: true, x: false, mode: PmpMode::Tor, addr: boundary >> 2 },
-        ));
-        entries.push((2, plan.section_entry(op)));
-        for (i, e) in plan.periph[usize::from(op)].iter().take(PMP_VIRT_SLOTS).enumerate() {
-            entries.push((PMP_VIRT_BASE + i, *e));
-        }
-        entries.push((PMP_FLASH_ENTRY, plan.flash));
-        entries.push((PMP_SRAM_ENTRY, plan.sram));
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.load_entries(&entries);
-        Ok(PmpSwitchCost { entries: entries.len() as u32 })
-    }
-
-    fn virtualize(
-        &self,
-        machine: &mut Machine,
-        plan: &PmpPlan,
-        op: OpId,
-        widx: usize,
-        slot: usize,
-    ) -> Result<(), String> {
-        let entry = plan.periph[usize::from(op)]
-            .get(widx)
-            .copied()
-            .ok_or_else(|| format!("no prepared PMP entry for peripheral window {widx}"))?;
-        let unit = machine
-            .protection_mut()
-            .as_any_mut()
-            .downcast_mut::<PmpUnit>()
-            .ok_or("rv32-pmp backend: machine protection unit is not the PMP")?;
-        unit.set_entry(PMP_VIRT_BASE + slot, entry);
-        Ok(())
-    }
-
-    fn stack_boundary(&self, stack: MemRegion, sp: u32) -> Option<u32> {
-        // PMP's TOR bound is word-granular: round SP down to the word.
-        let boundary = sp & !3;
-        if boundary <= stack.base {
-            return None;
-        }
-        Some(boundary.min(stack.end()))
-    }
-
-    fn boundary_granularity(&self, _stack: MemRegion) -> u32 {
-        4
-    }
-
-    fn classify_fault(&self, fault: &FaultInfo) -> PmpFault {
-        // The shared machine substrate raises its ARM-flavoured causes;
-        // the backend translates them into the RISC-V trap vocabulary.
-        match fault.cause {
-            FaultCause::MpuViolation => PmpFault::AccessFault,
-            FaultCause::PpbUnprivileged => PmpFault::CsrPriv,
-            FaultCause::Unmapped => PmpFault::Other,
-        }
+    /// Whether an instruction fetch at `addr` is allowed.
+    pub fn check_exec(&self, addr: u32, mode: PrivMode) -> bool {
+        !self.enabled || mode == PrivMode::Machine || self.pmp.check(addr, 4, PmpAccess::Exec, mode)
     }
 }
 
@@ -652,7 +351,7 @@ mod tests {
         // shift.
         assert_eq!(napot_decode(u32::MAX), (0, u32::MAX));
         // And the cover helper never yields an undersized region.
-        let (base, size) = napot_cover(MemRegion::new(0x2000_0001, 2));
+        let (base, size) = napot_cover(0x2000_0001, 2);
         assert!(size >= NAPOT_MIN_SIZE);
         assert!(base <= 0x2000_0001 && base + size >= 0x2000_0003);
     }
@@ -661,7 +360,7 @@ mod tests {
     fn napot_cover_grows_past_misalignment() {
         // A window straddling a power-of-two boundary needs a larger
         // cover than its size alone suggests.
-        let (base, size) = napot_cover(MemRegion::new(0x2000_00F8, 0x10));
+        let (base, size) = napot_cover(0x2000_00F8, 0x10);
         assert!(size.is_power_of_two());
         assert_eq!(base % size, 0);
         assert!(base <= 0x2000_00F8);
@@ -783,12 +482,12 @@ mod tests {
     #[test]
     fn unit_is_transparent_until_enabled_and_to_machine_mode() {
         let mut unit = PmpUnit::new();
-        assert_eq!(unit.check_data(0x2000_0000, 4, true, Mode::Unprivileged), MpuDecision::Allowed);
+        assert!(unit.check_data(0x2000_0000, 4, true, PrivMode::User));
         unit.enabled = true;
-        assert_eq!(unit.check_data(0x2000_0000, 4, true, Mode::Unprivileged), MpuDecision::Denied);
+        assert!(!unit.check_data(0x2000_0000, 4, true, PrivMode::User));
+        assert!(!unit.check_exec(0x2000_0000, PrivMode::User));
         // Unlocked entries never constrain M-mode.
-        assert_eq!(unit.check_data(0x2000_0000, 4, true, Mode::Privileged), MpuDecision::Allowed);
-        assert!(unit.enforcing());
+        assert!(unit.check_data(0x2000_0000, 4, true, PrivMode::Machine));
     }
 
     #[test]
@@ -796,34 +495,5 @@ mod tests {
         let e = PmpEntry { r: true, w: false, x: true, mode: PmpMode::Napot, addr: 0 };
         assert_eq!(e.cfg_byte(), 0b11_101);
         assert_eq!(PmpEntry::OFF.cfg_byte(), 0);
-    }
-
-    #[test]
-    fn backend_boundary_is_word_granular() {
-        let b = Rv32PmpBackend;
-        let s = MemRegion::new(0x2002_F000, 0x1000);
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 0x57), Some(s.base + 0x54));
-        assert_eq!(Backend::stack_boundary(&b, s, s.end()), Some(s.end()));
-        // SP at (or rounding to) the base leaves no live stack.
-        assert_eq!(Backend::stack_boundary(&b, s, s.base + 3), None);
-        assert_eq!(Backend::stack_boundary(&b, s, s.base), None);
-        assert_eq!(Backend::boundary_granularity(&b, s), 4);
-    }
-
-    #[test]
-    fn backend_fault_vocabulary() {
-        let b = Rv32PmpBackend;
-        let fi = |cause| FaultInfo {
-            address: 0,
-            len: 4,
-            kind: opec_armv7m::AccessKind::Read,
-            cause,
-            pc: 0,
-            write_value: None,
-        };
-        assert_eq!(b.classify_fault(&fi(FaultCause::MpuViolation)), PmpFault::AccessFault);
-        assert_eq!(FaultClass::from(PmpFault::AccessFault), FaultClass::Protection);
-        assert_eq!(FaultClass::from(PmpFault::CsrPriv), FaultClass::ControlPriv);
-        assert_eq!(FaultClass::from(PmpFault::Other), FaultClass::Other);
     }
 }

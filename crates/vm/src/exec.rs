@@ -373,25 +373,6 @@ impl Vm<NullSupervisor> {
     }
 }
 
-/// A machine-construction backend: names the ISA variant and installs
-/// its protection unit into a machine.
-///
-/// This is the VM-facing sliver of the protection-backend abstraction
-/// (the full trait — region plans, switch costs, fault vocabularies —
-/// lives above this crate in `opec-core`): enough for
-/// [`VmBuilder::backend`] to swap the protection unit without the VM
-/// depending on any concrete ISA type, and statically typed so the
-/// choice is visible at the call site rather than smuggled through a
-/// string.
-pub trait MachineBackend {
-    /// Stable backend name (`"armv7m"`, `"rv32-pmp"`).
-    const NAME: &'static str;
-
-    /// Installs the backend's protection unit into `machine`
-    /// (reset-state: not yet enforcing).
-    fn install(&self, machine: &mut Machine);
-}
-
 impl<S: Supervisor> VmBuilder<S> {
     /// Selects the privileged runtime (changes the VM's type).
     pub fn supervisor<T: Supervisor>(self, supervisor: T) -> VmBuilder<T> {
@@ -432,14 +413,6 @@ impl<S: Supervisor> VmBuilder<S> {
     /// default) for zero-cost operation.
     pub fn obs(mut self, obs: Obs) -> VmBuilder<S> {
         self.obs = obs;
-        self
-    }
-
-    /// Installs `backend`'s protection unit into the machine (replacing
-    /// the ARMv7-M MPU the machine boots with). The machine keeps its
-    /// memory image; only the protection model changes.
-    pub fn backend<B: MachineBackend>(mut self, backend: B) -> VmBuilder<S> {
-        backend.install(&mut self.machine);
         self
     }
 
@@ -512,7 +485,7 @@ impl<S: Supervisor> Vm<S> {
     }
 
     /// The name of the protection unit guarding this VM's machine
-    /// (`"armv7m-mpu"` unless [`VmBuilder::backend`] installed another).
+    /// (`"armv7m-mpu"` or `"rv32-pmp"`).
     pub fn backend_name(&self) -> &'static str {
         self.machine.protection().name()
     }
