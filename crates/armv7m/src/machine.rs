@@ -38,7 +38,17 @@ pub trait MmioDevice {
     fn read(&mut self, offset: u32, len: u32) -> u32;
     /// Writes `len` bytes of `value` at `offset` from the window base.
     fn write(&mut self, offset: u32, len: u32, value: u32);
-    /// Advances device-internal time (DMA progress, baud timing, ...).
+    /// Advances device-internal time (DMA progress, baud timing, ...)
+    /// by `cycles`.
+    ///
+    /// The machine delivers time lazily (see [`Machine::sync_devices`]):
+    /// a device is ticked only right before something observes it — an
+    /// MMIO access, a host lookup, an IRQ poll — with every cycle that
+    /// passed since its last tick, in one call. That is exact only
+    /// because ticks must be additive: `tick(a); tick(b)` must leave the
+    /// device in the same state as `tick(a + b)`, and device state may
+    /// change only in `tick`, `read`, `write` and the device's own host
+    /// methods, never on its own between them.
     fn tick(&mut self, _cycles: u64) {}
     /// Returns `true` if the device is asserting its interrupt line.
     fn irq_pending(&self) -> bool {
@@ -109,7 +119,9 @@ const SNAP_PAGE: usize = 256;
 
 /// A full machine checkpoint taken by [`Machine::snapshot`].
 ///
-/// Holds golden copies of Flash, SRAM, devices, MPU, clock and counters.
+/// Holds golden copies of Flash, SRAM, devices, MPU, clock and counters,
+/// plus the device time the devices have not been ticked through yet
+/// (so owed cycles survive a restore, and a delta's park/unpark).
 /// [`Machine::restore`] copies back only the pages dirtied since the
 /// snapshot was taken (tracked by a write barrier in the store path), so
 /// a restore after a short run costs microseconds, not a full memcpy of
@@ -118,6 +130,7 @@ pub struct MachineSnapshot {
     id: u64,
     mode: Mode,
     clock: Clock,
+    dev_time: DevTime,
     current_pc: u32,
     stats: MachineStats,
     prot: Prot,
@@ -140,6 +153,7 @@ pub struct MachineDelta {
     snap_id: u64,
     mode: Mode,
     clock: Clock,
+    dev_time: DevTime,
     current_pc: u32,
     stats: MachineStats,
     prot: Prot,
@@ -160,6 +174,17 @@ impl MachineDelta {
     }
 }
 
+/// Device time, kept apart from [`Clock`]: it advances only by the
+/// cycles the VM charges for instructions (monitor and ACES cycles do
+/// not move it), and the devices catch up to it lazily.
+#[derive(Debug, Clone, Copy, Default)]
+struct DevTime {
+    /// Device time advanced so far.
+    now: u64,
+    /// How much of `now` the devices have been ticked through.
+    synced: u64,
+}
+
 /// The simulated microcontroller.
 pub struct Machine {
     /// Board profile (flash/SRAM geometry).
@@ -173,6 +198,7 @@ pub struct Machine {
     pub mode: Mode,
     /// Cycle clock.
     pub clock: Clock,
+    dev_time: DevTime,
     /// PC of the instruction currently executing; recorded into fault
     /// information so handlers can fetch and decode it.
     pub current_pc: u32,
@@ -207,6 +233,7 @@ impl Machine {
             prot,
             mode: Mode::Privileged,
             clock: Clock::new(),
+            dev_time: DevTime::default(),
             current_pc: board.flash.base,
             stats: MachineStats::default(),
             devices: Vec::new(),
@@ -288,6 +315,7 @@ impl Machine {
             id,
             mode: self.mode,
             clock: self.clock.clone(),
+            dev_time: self.dev_time,
             current_pc: self.current_pc,
             stats: self.stats,
             prot: self.prot.clone(),
@@ -316,6 +344,7 @@ impl Machine {
         }
         self.mode = snap.mode;
         self.clock = snap.clock.clone();
+        self.dev_time = snap.dev_time;
         self.current_pc = snap.current_pc;
         self.stats = snap.stats;
         self.prot.copy_from(&snap.prot);
@@ -403,6 +432,7 @@ impl Machine {
             snap_id: self.snap_id,
             mode: self.mode,
             clock: self.clock.clone(),
+            dev_time: self.dev_time,
             current_pc: self.current_pc,
             stats: self.stats,
             prot: self.prot.clone(),
@@ -435,6 +465,7 @@ impl Machine {
         }
         self.mode = d.mode;
         self.clock = d.clock.clone();
+        self.dev_time = d.dev_time;
         self.current_pc = d.current_pc;
         self.stats = d.stats;
         self.prot.copy_from(&d.prot);
@@ -446,6 +477,9 @@ impl Machine {
     /// Registers a memory-mapped device. Returns an error if its window
     /// overlaps an already registered device.
     pub fn add_device(&mut self, dev: Box<dyn MmioDevice>) -> Result<(), String> {
+        // The newcomer starts at the current device time: the cycles
+        // owed so far belong to the devices already here.
+        self.sync_devices();
         let region = dev.region();
         for existing in &self.devices {
             if existing.region().overlaps(&region) {
@@ -461,32 +495,61 @@ impl Machine {
         Ok(())
     }
 
-    /// Looks a registered device up by name.
+    /// Looks a registered device up by name, caught up to the current
+    /// device time.
     pub fn device_mut(&mut self, name: &str) -> Option<&mut (dyn MmioDevice + '_)> {
+        self.sync_devices();
         self.devices.iter_mut().find(|d| d.name() == name).map(|d| d.as_mut() as _)
     }
 
-    /// Looks a device up by name and downcasts it to its concrete type.
+    /// Looks a device up by name and downcasts it to its concrete type,
+    /// caught up to the current device time.
     pub fn device_as<T: 'static>(&mut self, name: &str) -> Option<&mut T> {
+        self.sync_devices();
         self.devices
             .iter_mut()
             .find(|d| d.name() == name)
             .and_then(|d| d.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Advances all devices by `cycles`. On the interpreter's per-ALU-op
-    /// hot path — inline so the no-device case folds to a loop over an
-    /// empty slice.
+    /// Advances device time by `cycles`. The VM calls this once per
+    /// instruction, so it only moves a counter: the devices see the
+    /// time at the next [`Machine::sync_devices`].
     #[inline]
     pub fn tick_devices(&mut self, cycles: u64) {
-        for d in &mut self.devices {
-            d.tick(cycles);
-        }
+        self.dev_time.now += cycles;
     }
 
-    /// Returns the names of devices currently asserting interrupts.
+    /// Catches every device up to the current device time with one
+    /// [`MmioDevice::tick`] of the cycles it has not seen yet. Runs
+    /// before every MMIO access that reaches a device, before the host
+    /// looks a device up ([`Machine::device_mut`],
+    /// [`Machine::device_as`]) or adds one, and at the VM's IRQ poll;
+    /// additive ticks make the result identical to ticking on every
+    /// instruction.
+    pub fn sync_devices(&mut self) {
+        let lag = self.dev_time.now - self.dev_time.synced;
+        if lag == 0 {
+            return;
+        }
+        for d in &mut self.devices {
+            d.tick(lag);
+        }
+        self.dev_time.synced = self.dev_time.now;
+    }
+
+    /// Names of the devices asserting interrupts, in registration
+    /// order, as of the last [`Machine::sync_devices`]. Allocates
+    /// nothing; the VM's IRQ poll syncs and then walks this.
+    pub fn irq_lines(&self) -> impl Iterator<Item = &str> {
+        self.devices.iter().filter(|d| d.irq_pending()).map(|d| d.name())
+    }
+
+    /// Returns the names of devices currently asserting interrupts, as
+    /// of the last [`Machine::sync_devices`] (this takes `&self`, so it
+    /// cannot deliver device time still owed).
     pub fn pending_irqs(&self) -> Vec<&str> {
-        self.devices.iter().filter(|d| d.irq_pending()).map(|d| d.name()).collect()
+        self.irq_lines().collect()
     }
 
     fn fault(
@@ -591,14 +654,9 @@ impl Machine {
             let off = (addr - self.board.sram.base) as usize;
             return Some(read_le(&self.sram, off, len));
         }
-        for d in &mut self.devices {
-            let r = d.region();
-            if r.contains_range(addr, len) {
-                self.stats.mmio_accesses += 1;
-                return Some(d.read(addr - r.base, len));
-            }
-        }
-        None
+        let d = self.synced_device_at(addr, len)?;
+        let base = d.region().base;
+        Some(d.read(addr - base, len))
     }
 
     fn route_store(&mut self, addr: u32, len: u32, value: u32) -> bool {
@@ -610,15 +668,20 @@ impl Machine {
             write_le(&mut self.sram, off, len, value);
             return true;
         }
-        for d in &mut self.devices {
-            let r = d.region();
-            if r.contains_range(addr, len) {
-                self.stats.mmio_accesses += 1;
-                d.write(addr - r.base, len, value);
-                return true;
-            }
-        }
-        false
+        let Some(d) = self.synced_device_at(addr, len) else { return false };
+        let base = d.region().base;
+        d.write(addr - base, len, value);
+        true
+    }
+
+    /// The device whose window holds `addr..addr + len`, counted as an
+    /// MMIO access and synced: every access that reaches a device sees
+    /// it at the current device time.
+    fn synced_device_at(&mut self, addr: u32, len: u32) -> Option<&mut Box<dyn MmioDevice>> {
+        let i = self.devices.iter().position(|d| d.region().contains_range(addr, len))?;
+        self.stats.mmio_accesses += 1;
+        self.sync_devices();
+        Some(&mut self.devices[i])
     }
 
     fn ppb_read(&mut self, addr: u32) -> u32 {
@@ -846,6 +909,52 @@ mod tests {
             .add_device(Box::new(Reg { region: MemRegion::new(0x4000_0200, 0x400), value: 0 }))
             .unwrap_err();
         assert!(err.contains("overlaps"));
+    }
+
+    #[test]
+    fn devices_catch_up_lazily_and_join_at_the_current_time() {
+        /// Records the ticks it receives; reads return the total.
+        struct Clocked {
+            base: u32,
+            ticks: Vec<u64>,
+        }
+        impl MmioDevice for Clocked {
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+            fn name(&self) -> &str {
+                if self.base == 0x4000_0000 {
+                    "a"
+                } else {
+                    "b"
+                }
+            }
+            fn region(&self) -> MemRegion {
+                MemRegion::new(self.base, 0x400)
+            }
+            fn read(&mut self, _offset: u32, _len: u32) -> u32 {
+                self.ticks.iter().sum::<u64>() as u32
+            }
+            fn write(&mut self, _offset: u32, _len: u32, _value: u32) {}
+            fn tick(&mut self, cycles: u64) {
+                self.ticks.push(cycles);
+            }
+        }
+        let clocked = |base| Box::new(Clocked { base, ticks: Vec::new() });
+        let mut m = machine();
+        m.add_device(clocked(0x4000_0000)).unwrap();
+        for _ in 0..100 {
+            m.tick_devices(1);
+        }
+        // Monitor cycles move the clock, never device time.
+        m.clock.tick(1_000);
+        m.add_device(clocked(0x4000_0400)).unwrap();
+        m.tick_devices(5);
+        assert_eq!(m.load(0x4000_0400, 4, Mode::Privileged).unwrap(), 5);
+        assert_eq!(m.device_as::<Clocked>("a").unwrap().ticks, [100, 5]);
+        // Nothing owed: no empty tick is delivered.
+        assert_eq!(m.load(0x4000_0000, 4, Mode::Privileged).unwrap(), 105);
+        assert_eq!(m.device_as::<Clocked>("b").unwrap().ticks, [5]);
     }
 
     #[test]

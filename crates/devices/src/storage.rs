@@ -8,7 +8,7 @@
 //! | 0x00   | `CMD`    | write 1 = read block, 2 = write block |
 //! | 0x04   | `ARG`    | block number |
 //! | 0x08   | `DATA`   | 32-bit FIFO port into the 512-byte block buffer |
-//! | 0x0C   | `STATUS` | bit0 ready (always), bit1 error (bad block) |
+//! | 0x0C   | `STATUS` | bit0 ready (clear during a command's busy period), bit1 error (bad block) |
 //!
 //! A read command fills the internal buffer from the backing store and
 //! resets the FIFO cursor; a write command flushes the buffer to the

@@ -841,7 +841,8 @@ impl<S: Supervisor> Vm<S> {
     fn charge(&mut self, cycles: u64) {
         self.machine.clock.tick(cycles);
         // Device-internal time (baud pacing, block busy periods, frame
-        // gaps, capture delays) advances with CPU time.
+        // gaps, capture delays) advances with CPU time; the devices
+        // catch up when next observed.
         self.machine.tick_devices(cycles);
     }
 
@@ -1133,19 +1134,19 @@ impl<S: Supervisor> Vm<S> {
         if self.irq_depth > 0 || self.image.irq_vector.is_empty() {
             return Ok(());
         }
-        let pending: Vec<String> =
-            self.machine.pending_irqs().into_iter().map(str::to_string).collect();
-        for dev in pending {
-            let Some(&handler) = self.image.irq_vector.get(&dev) else { continue };
-            self.stats.irqs += 1;
-            self.irq_depth += 1;
-            self.charge(costs::EXC_ENTRY);
-            let restore = self.machine.mode;
-            self.machine.mode = Mode::Privileged;
-            self.push_call(handler, Vec::new(), None)?;
-            self.frame().irq_restore_mode = Some(restore);
+        self.machine.sync_devices();
+        let vector = &self.image.irq_vector;
+        let Some(handler) = self.machine.irq_lines().find_map(|dev| vector.get(dev).copied())
+        else {
             return Ok(());
-        }
+        };
+        self.stats.irqs += 1;
+        self.irq_depth += 1;
+        self.charge(costs::EXC_ENTRY);
+        let restore = self.machine.mode;
+        self.machine.mode = Mode::Privileged;
+        self.push_call(handler, Vec::new(), None)?;
+        self.frame().irq_restore_mode = Some(restore);
         Ok(())
     }
 

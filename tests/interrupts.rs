@@ -5,6 +5,7 @@
 use opec::prelude::*;
 use opec_core::OpecMonitor;
 use opec_devices::Uart;
+use opec_vm::{ExecMode, VmStats};
 
 const FUEL: u64 = 30_000_000;
 
@@ -64,48 +65,64 @@ fn feed_uart(machine: &mut Machine) {
     uart.feed(b"xyz");
 }
 
-#[test]
-fn interrupt_driven_reception_on_the_baseline() {
-    let (module, _) = irq_module();
+/// One run of the IRQ firmware: outcome, counters, final cycle and the
+/// privilege level the machine ended in.
+type IrqRun = (Result<RunOutcome, VmError>, VmStats, u64, Mode);
+
+/// Runs the IRQ firmware on `mode`'s dispatch path, on the baseline or
+/// under OPEC.
+fn run_irq(opec: bool, mode: ExecMode) -> IrqRun {
+    let (module, specs) = irq_module();
     let board = Board::stm32f4_discovery();
-    let mut image = link_baseline(module, board).unwrap();
-    let handler = image.module.func_by_name("USART2_IRQHandler").unwrap();
-    image.irq_vector.insert("USART2".into(), handler);
     let mut machine = Machine::new(board);
     opec::devices::install_standard_devices(&mut machine, Default::default()).unwrap();
     feed_uart(&mut machine);
-    let mut vm = Vm::builder(machine, image).build().unwrap();
-    match vm.run(FUEL).unwrap() {
+    let (mut image, policy) = if opec {
+        let out = opec::core::compile(module, board, &specs).unwrap();
+        (out.image, Some(out.policy))
+    } else {
+        (link_baseline(module, board).unwrap(), None)
+    };
+    let handler = image.module.func_by_name("USART2_IRQHandler").unwrap();
+    image.irq_vector.insert("USART2".into(), handler);
+    let builder = Vm::builder(machine, image).exec_mode(mode);
+    match policy {
+        Some(policy) => {
+            let mut vm = builder.supervisor(OpecMonitor::new(policy)).build().unwrap();
+            (vm.run(FUEL), vm.stats, vm.machine.clock.now(), vm.machine.mode)
+        }
+        None => {
+            let mut vm = builder.build().unwrap();
+            (vm.run(FUEL), vm.stats, vm.machine.clock.now(), vm.machine.mode)
+        }
+    }
+}
+
+fn assert_received_z(outcome: Result<RunOutcome, VmError>) {
+    match outcome.unwrap() {
         RunOutcome::Returned { value, .. } => assert_eq!(value, Some(u32::from(b'z'))),
         other => panic!("unexpected outcome {other:?}"),
     }
-    assert_eq!(vm.stats.irqs, 3);
+}
+
+#[test]
+fn interrupt_driven_reception_on_the_baseline() {
+    let (outcome, stats, ..) = run_irq(false, ExecMode::Decoded);
+    assert_received_z(outcome);
+    assert_eq!(stats.irqs, 3);
 }
 
 #[test]
 fn interrupt_handlers_run_privileged_under_opec() {
-    let (module, specs) = irq_module();
-    let board = Board::stm32f4_discovery();
-    let out = opec::core::compile(module, board, &specs).unwrap();
-    let mut image = out.image;
-    let handler = image.module.func_by_name("USART2_IRQHandler").unwrap();
-    image.irq_vector.insert("USART2".into(), handler);
-    let mut machine = Machine::new(board);
-    opec::devices::install_standard_devices(&mut machine, Default::default()).unwrap();
-    feed_uart(&mut machine);
-    let policy = out.policy.clone();
-    let mut vm = Vm::builder(machine, image).supervisor(OpecMonitor::new(policy)).build().unwrap();
-    match vm.run(FUEL).unwrap() {
-        RunOutcome::Returned { value, .. } => assert_eq!(value, Some(u32::from(b'z'))),
-        other => panic!("unexpected outcome {other:?}"),
-    }
+    let (outcome, stats, _, mode) = run_irq(true, ExecMode::Decoded);
+    assert_received_z(outcome);
     // Three dispatches, each touching the UART *and* a PPB register
     // natively (no emulation faults: the handler runs privileged, as
     // the paper states for IRQ routines).
-    assert_eq!(vm.stats.irqs, 3);
-    assert_eq!(vm.stats.faults_emulated, 0);
+    assert_eq!(stats.irqs, 3);
+    assert_eq!(stats.faults_emulated, 0);
     // The application itself still ended up unprivileged.
-    assert_eq!(vm.machine.mode, Mode::Unprivileged);
+    assert_eq!(mode, Mode::Unprivileged);
 }
 
 #[test]
@@ -118,4 +135,18 @@ fn irq_handlers_are_rejected_as_operation_entries() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("interrupt handler"));
+}
+
+/// Interrupts land at the same instruction boundaries on both dispatch
+/// paths: the plain interpreter and the decoded fast path take the same
+/// interrupts, count the same instructions and end at the same cycle,
+/// on the baseline and under OPEC.
+#[test]
+fn irq_dispatch_is_identical_in_both_exec_modes() {
+    for opec in [false, true] {
+        let plain = run_irq(opec, ExecMode::Plain);
+        let decoded = run_irq(opec, ExecMode::Decoded);
+        assert_eq!(plain.1.irqs, 3, "opec={opec}: {plain:?}");
+        assert_eq!(plain, decoded, "opec={opec}");
+    }
 }
