@@ -931,14 +931,14 @@ impl AttackMatrix {
     /// artifact).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        writeln!(out, "  \"backend\": {},", jstr(self.backend)).unwrap();
+        writeln!(out, "  \"backend\": \"{}\",", json::escape(self.backend)).unwrap();
         writeln!(out, "  \"seeds\": {},", self.seeds).unwrap();
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             write!(
                 out,
-                "    {{\"app\": {}, \"config\": \"{}\", \"attack\": \"{}\", \"verdicts\": [",
-                jstr(cell.app),
+                "    {{\"app\": \"{}\", \"config\": \"{}\", \"attack\": \"{}\", \"verdicts\": [",
+                json::escape(cell.app),
                 cell.config.label(),
                 cell.kind.name()
             )
@@ -946,10 +946,10 @@ impl AttackMatrix {
             for (j, (seed, verdict)) in cell.verdicts.iter().enumerate() {
                 write!(
                     out,
-                    "{}{{\"seed\": {seed}, \"verdict\": \"{}\", \"detail\": {}}}",
+                    "{}{{\"seed\": {seed}, \"verdict\": \"{}\", \"detail\": \"{}\"}}",
                     if j == 0 { "" } else { ", " },
                     verdict.label(),
-                    jstr(&verdict_detail(verdict)),
+                    json::escape(&verdict_detail(verdict)),
                 )
                 .unwrap();
             }
@@ -1007,27 +1007,6 @@ fn verdict_detail(v: &Verdict) -> String {
         Verdict::NotApplicable => String::new(),
         Verdict::Undecided { reason } => reason.clone(),
     }
-}
-
-/// Minimal JSON string escaping.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).unwrap();
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

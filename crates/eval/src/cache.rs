@@ -8,7 +8,7 @@
 //! per `(app, ACES strategy)` run — so the seven-app pass and the
 //! five-app comparison pass *share* their baseline and OPEC runs
 //! instead of redoing them, and every renderer (tables, figures, CSV
-//! export, benches) is served from a single set of runs.
+//! export) is served from a single set of runs.
 //!
 //! Determinism: cache hits return the same [`Arc`]-shared artifact a
 //! miss would have computed, threads only decide *when* a unit is
@@ -108,8 +108,8 @@ impl EvalCache {
         })
     }
 
-    /// [`runs::evaluate_many`] through the cache: one scoped thread per
-    /// app, results in input order.
+    /// Evaluates a list of applications through the cache: one scoped
+    /// thread per app, results in input order.
     pub fn evaluate_many(&self, apps: &[App], with_aces: bool) -> Vec<AppEval> {
         thread::scope(|s| {
             let handles: Vec<_> =
@@ -122,6 +122,7 @@ impl EvalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report;
 
     #[test]
     fn cache_shares_runs_between_passes() {
@@ -155,5 +156,13 @@ mod tests {
         let cached_cycles: Vec<u64> = cached.aces.iter().map(|a| a.cycles).collect();
         let plain_cycles: Vec<u64> = plain.aces.iter().map(|a| a.cycles).collect();
         assert_eq!(cached_cycles, plain_cycles);
+        // Every renderer without a host-time column is byte-identical
+        // (Table 3 carries the measured solver time).
+        let (cached, plain) = (&[cached][..], &[plain][..]);
+        for render in
+            [report::table1, report::figure9, report::table2, report::figure10, report::figure11]
+        {
+            assert_eq!(render(cached), render(plain));
+        }
     }
 }

@@ -200,12 +200,9 @@ impl CheckReport {
 
     /// Machine-readable artifact (the CI `oracle.json`).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-        }
         fn opt(s: &Option<String>) -> String {
             match s {
-                Some(v) => format!("\"{}\"", esc(v)),
+                Some(v) => format!("\"{}\"", json::escape(v)),
                 None => "null".to_string(),
             }
         }
@@ -214,14 +211,14 @@ impl CheckReport {
             let divs = c
                 .divergences
                 .iter()
-                .map(|d| format!("\"{}\"", esc(d)))
+                .map(|d| format!("\"{}\"", json::escape(d)))
                 .collect::<Vec<_>>()
                 .join(", ");
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"system\": \"{}\", \"total_divergences\": {}, \
                  \"checks\": {}, \"probes\": {}, \"switches\": {}, \"run_error\": {}, \
                  \"note\": {}, \"shrunk\": {}, \"divergences\": [{divs}]}}{}\n",
-                esc(&c.name),
+                json::escape(&c.name),
                 c.system,
                 c.total,
                 c.checks,
@@ -237,9 +234,9 @@ impl CheckReport {
         for (i, x) in self.crosschecks.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"ok\": {}, \"detail\": \"{}\"}}{}\n",
-                esc(&x.name),
+                json::escape(&x.name),
                 x.ok,
-                esc(&x.detail),
+                json::escape(&x.detail),
                 if i + 1 < self.crosschecks.len() { "," } else { "" }
             ));
         }
@@ -1269,6 +1266,34 @@ pub fn run_lockstep_with(
 mod tests {
     use super::*;
     use crate::runs::FUEL;
+
+    #[test]
+    fn json_escapes_control_characters_in_every_string() {
+        let divergence = "write\tto 0x2000_0000 allowed".to_string();
+        let note = "ACES build skipped:\ngroup-region overflow".to_string();
+        let report = CheckReport {
+            cases: vec![CaseResult {
+                name: "gen[3]".to_string(),
+                system: "ACES",
+                divergences: vec![divergence.clone()],
+                total: 1,
+                checks: 0,
+                probes: 0,
+                switches: 0,
+                run_error: None,
+                shrunk: None,
+                note: Some(note.clone()),
+            }],
+            ..CheckReport::default()
+        };
+        let text = report.to_json();
+        assert_eq!(crate::raw_controls_in_strings(&text), 0, "{text}");
+        let doc = json::parse(&text).unwrap();
+        let case = &doc.get("cases").and_then(Value::as_arr).unwrap()[0];
+        let divs = case.get("divergences").and_then(Value::as_arr).unwrap();
+        assert_eq!(divs[0].as_str(), Some(divergence.as_str()));
+        assert_eq!(case.get("note").and_then(Value::as_str), Some(note.as_str()));
+    }
 
     #[test]
     fn pinlock_is_divergence_free_with_agreeing_metrics() {

@@ -6,7 +6,7 @@
 //!   collects cycles, image footprints, traces, and analysis artifacts,
 //!   fanning independent runs across scoped threads;
 //! * [`cache`] — memoizes runs per `(app, configuration)` so one set of
-//!   runs serves every table, figure, CSV export, and bench;
+//!   runs serves every table, figure, and CSV export;
 //! * [`metrics`] — the paper's two new metrics: partition-time
 //!   over-privilege (PT, Equation 1) and execution-time over-privilege
 //!   (ET, Equation 2), plus the Table 1 security metrics;
@@ -45,13 +45,11 @@
 //! opec-eval all           # every table and figure, from one memoized pass
 //! opec-eval table1 | figure9 | table2 | figure10 | figure11 | table3
 //! opec-eval case-study    # the §6.1 PinLock attack demonstration
-//! opec-eval bench-json    # machine-readable solver + pipeline timings
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod attack;
-pub mod benchjson;
 pub mod benchvm;
 pub mod cache;
 pub mod check;
@@ -67,4 +65,25 @@ pub mod table;
 pub use cache::EvalCache;
 pub use cli::CliArgs;
 pub use metrics::{et_by_task, pt_of_compartments, table1_row, EtSeries, Table1Row};
-pub use runs::{evaluate_app, evaluate_many, AcesRun, AppEval, OpecRun};
+pub use runs::{evaluate_app, AcesRun, AppEval, OpecRun};
+
+/// How many control characters sit unescaped inside the string
+/// literals of the JSON document `text` (structural whitespace between
+/// tokens is not counted).
+#[cfg(test)]
+fn raw_controls_in_strings(text: &str) -> usize {
+    let (mut in_string, mut escaped, mut raw) = (false, false, 0);
+    for c in text.chars() {
+        if in_string && c < ' ' {
+            raw += 1;
+        }
+        if escaped {
+            escaped = false;
+        } else if in_string && c == '\\' {
+            escaped = true;
+        } else if c == '"' {
+            in_string = !in_string;
+        }
+    }
+    raw
+}

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use opec_apps::programs::all_apps;
 use opec_core::Backend;
 use opec_eval::engine::EngineOpts;
-use opec_eval::{attack, benchjson, benchvm, check, fuzz, obsreport, report, CliArgs};
+use opec_eval::{attack, benchvm, check, fuzz, obsreport, report, CliArgs};
 use opec_fleet::{
     fleet_bench, resolve_workers, run_fleet, BenchConfig, FleetConfig, FleetShared, Mix, ServeState,
 };
@@ -35,8 +35,6 @@ opec-eval — regenerate the paper's tables and figures
   opec-eval table3              icall analysis efficiency
   opec-eval case-study          the §6.1 PinLock attack demonstration
   opec-eval csv [--out DIR]     every table/figure as CSV (default: results/)
-  opec-eval bench-json [--json FILE]
-                                machine-readable timings (default: stdout)
   opec-eval bench-vm [--backend B] [--seeds N] [--json FILE] [CAMPAIGN FLAGS]
                                 VM fast-path benchmark (BENCH_vm.json):
                                 plain vs pre-decoded instructions/sec per app,
@@ -159,7 +157,7 @@ Exit codes: 0 clean; 1 hard failures (escapes, divergences, crashes);
 2 usage errors; 3 no hard failures but unknown outcomes — jobs that
 exhausted fuel, timed out, or panicked, or verdicts left undecided.
 
-Legacy positional forms `csv DIR` and `bench-json FILE` still work.
+Legacy positional form `csv DIR` still works.
 ";
 
 /// The subcommand's own flags plus the shared campaign supervision
@@ -254,19 +252,6 @@ fn main() {
             println!("{}", report::figure10(&cmp));
             println!("{}", report::figure11(&cmp));
             println!("{}", report::case_study());
-        }
-        "bench-json" => {
-            no_flags(&["--json", "positional"]);
-            let path = args.json.clone().or_else(|| args.positional.first().cloned());
-            let out = path.map(|p| (create(&p), p));
-            let json = benchjson::bench_json();
-            match out {
-                Some((mut file, path)) => {
-                    file.write_all(json.as_bytes()).expect("write bench JSON");
-                    eprintln!("[opec-eval] wrote {path}");
-                }
-                None => print!("{json}"),
-            }
         }
         "bench-vm" => {
             no_flags(&campaign_flags(&["--backend", "--seeds", "--json"]));

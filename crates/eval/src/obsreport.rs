@@ -26,6 +26,7 @@ use opec_aces::{build_aces_image, AcesRuntime, AcesStrategy};
 use opec_apps::programs::{aces_comparison_apps, all_apps};
 use opec_apps::App;
 use opec_armv7m::Machine;
+use opec_campaign::json;
 use opec_core::{compile, Backend, OpecMonitor};
 use opec_obs::{chrome_trace, metrics_json, Metrics, Obs, Recorder, Stamped};
 use opec_vm::{RunOutcome, Vm};
@@ -351,8 +352,8 @@ pub fn to_json(report: &ObsReport) -> String {
         .map(|(cell, reason)| {
             format!(
                 "{{\"cell\":\"{}\",\"reason\":\"{}\"}}",
-                cell,
-                reason.replace('\\', "\\\\").replace('"', "\\\"")
+                json::escape(cell),
+                json::escape(reason)
             )
         })
         .collect();
@@ -413,6 +414,20 @@ mod tests {
         let (label, trace) = first_chrome_trace(&report).unwrap();
         assert_eq!(label, "PinLock/opec/armv7m");
         assert!(trace.contains("\"traceEvents\""));
+    }
+
+    #[test]
+    fn json_escapes_control_characters_in_skip_reasons() {
+        let reason = "ACES needs ARMv7-M:\n\tno MPU on rv32-pmp".to_string();
+        let report = ObsReport {
+            runs: Vec::new(),
+            skipped: vec![("PinLock/aces".to_string(), reason.clone())],
+        };
+        let text = to_json(&report);
+        assert_eq!(crate::raw_controls_in_strings(&text), 0, "{text}");
+        let doc = json::parse(&text).unwrap();
+        let skip = &doc.get("skipped").and_then(json::Value::as_arr).unwrap()[0];
+        assert_eq!(skip.get("reason").and_then(json::Value::as_str), Some(reason.as_str()));
     }
 
     #[test]

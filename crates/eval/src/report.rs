@@ -414,6 +414,7 @@ fn feed_attack_script(machine: &mut Machine, key_addr: u32, forged_key: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::evaluate_app;
 
     #[test]
     fn case_study_shows_compromise_then_containment() {
@@ -426,7 +427,7 @@ mod tests {
     #[test]
     fn report_renderers_produce_output() {
         // One cheap app end-to-end through every renderer.
-        let evals = evaluate_many(&[opec_apps::programs::pinlock::app()], true);
+        let evals = [evaluate_app(&opec_apps::programs::pinlock::app(), true)];
         let t1 = table1(&evals);
         assert!(t1.contains("PinLock"));
         let f9 = figure9(&evals);
@@ -440,6 +441,4 @@ mod tests {
         let t3 = table3(&evals);
         assert!(t3.contains("#Icall"));
     }
-
-    use crate::runs::evaluate_many;
 }

@@ -8,10 +8,10 @@
 //!
 //! Runs are pure functions of `(app, configuration)`, so
 //! [`evaluate_app`] fans the baseline/OPEC/ACES runs of one app across
-//! scoped threads and [`evaluate_many`] fans whole apps, joining in
-//! input order so output is deterministic regardless of scheduling.
-//! The `*_sequential` variants preserve the seed's single-threaded
-//! behaviour for benchmarking against. Shareable artifacts are held in
+//! scoped threads, joining in a fixed order so output is deterministic
+//! regardless of scheduling. [`evaluate_app_sequential`] runs the same
+//! units on the calling thread and is the reference the memoized
+//! pipeline is checked against. Shareable artifacts are held in
 //! [`Arc`] so the memoized pipeline (`crate::cache`) can hand the same
 //! run to every renderer.
 
@@ -202,8 +202,8 @@ pub fn evaluate_app(app: &App, with_aces: bool) -> AppEval {
     })
 }
 
-/// Evaluates one application on the calling thread only (the seed's
-/// behaviour; the `bench-json` naive baseline measures this path).
+/// Evaluates one application on the calling thread only, uncached: the
+/// reference that `cache::tests` holds the memoized pipeline to.
 pub fn evaluate_app_sequential(app: &App, with_aces: bool) -> AppEval {
     let (base_cycles, base_flash, base_sram) = run_baseline(app);
     let opec = Arc::new(run_opec(app));
@@ -213,21 +213,6 @@ pub fn evaluate_app_sequential(app: &App, with_aces: bool) -> AppEval {
         Vec::new()
     };
     AppEval { name: app.name, board: app.board, base_cycles, base_flash, base_sram, opec, aces }
-}
-
-/// Evaluates a list of applications, one scoped thread per app, results
-/// in input order.
-pub fn evaluate_many(apps: &[App], with_aces: bool) -> Vec<AppEval> {
-    thread::scope(|s| {
-        let handles: Vec<_> =
-            apps.iter().map(|a| s.spawn(move || evaluate_app(a, with_aces))).collect();
-        handles.into_iter().map(join).collect()
-    })
-}
-
-/// Sequential [`evaluate_many`] (the seed's behaviour).
-pub fn evaluate_many_sequential(apps: &[App], with_aces: bool) -> Vec<AppEval> {
-    apps.iter().map(|a| evaluate_app_sequential(a, with_aces)).collect()
 }
 
 impl AppEval {

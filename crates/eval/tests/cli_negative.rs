@@ -44,7 +44,10 @@ fn unexpected_positional_exits_nonzero_and_names_it() {
 
 #[test]
 fn unknown_command_exits_nonzero() {
-    let (code, stderr) = run(&["no-such-command"]);
-    assert_eq!(code, 2, "stderr: {stderr}");
-    assert!(stderr.contains("no-such-command"), "stderr: {stderr}");
+    // A deleted subcommand is rejected like one that never existed.
+    for cmd in ["no-such-command", "bench-json"] {
+        let (code, stderr) = run(&[cmd]);
+        assert_eq!(code, 2, "{cmd} stderr: {stderr}");
+        assert!(stderr.contains(cmd), "{cmd} stderr: {stderr}");
+    }
 }
