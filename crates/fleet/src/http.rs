@@ -1,10 +1,10 @@
 //! The daemon's scrape surface: a dependency-free HTTP/1.1 server on
 //! `std::net::TcpListener`.
 //!
-//! The evaluation container is network-less and the workspace adds no
-//! crates, so this is a deliberately small hand-rolled server: one
-//! accept loop, one connection at a time, bounded reads, three
-//! routes —
+//! The workspace adds no crates, so this is a deliberately small
+//! hand-rolled server: one blocking accept loop, one connection at a
+//! time, each request read against one whole-request deadline with a
+//! bounded size, three routes —
 //!
 //! * `GET /metrics` — Prometheus text exposition: the merged shard
 //!   aggregates through [`opec_obs::prom::render`], plus fleet-level
@@ -14,15 +14,16 @@
 //! * `POST /firmware` — submit a generated-firmware plan (canonical
 //!   corpus JSON, `{"spec": …}`, or `{"seed": N}`); the differential
 //!   oracle runs it and the verdict is returned and retained for
-//!   `GET /firmware/<id>`.
+//!   `GET /firmware/<id>` (the most recent 4096 verdicts).
 //!
 //! Scrapes read the sharded aggregates workers publish on a quantum
 //! cadence ([`FleetShared::merged`]); they never block guest
 //! execution.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,31 +43,58 @@ const FIRMWARE_TIMEOUT: Duration = Duration::from_secs(30);
 const DEVICE_LIST_CAP: usize = 256;
 /// Largest request (headers + body) the server reads.
 const MAX_REQUEST: usize = 1 << 20;
+/// Time from accept within which a whole request (headers and body)
+/// must arrive; a slower client gets a 408.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+/// Firmware verdicts retained for `GET /firmware/<id>`; older ones are
+/// evicted and their ids answer 404.
+const VERDICT_CAP: usize = 4096;
+/// How often the stop watcher checks the stop flag and retries its
+/// wake-up connection, and how long the accept loop backs off after a
+/// failed accept. Delays only shutdown, never a request.
+const STOP_POLL: Duration = Duration::from_millis(25);
 
-/// One retained firmware verdict.
-struct FirmwareRecord {
-    id: u64,
-    json: String,
+/// The most recent [`VERDICT_CAP`] verdicts, with dense ids: the
+/// verdict with id `first_id + i` sits at index `i`.
+#[derive(Default)]
+struct VerdictStore {
+    first_id: u64,
+    verdicts: VecDeque<String>,
+}
+
+impl VerdictStore {
+    /// Assigns the next id, renders the verdict with it, and retains
+    /// it, evicting the oldest verdict once [`VERDICT_CAP`] are held.
+    fn push(&mut self, render: impl FnOnce(u64) -> String) -> String {
+        let id = self.first_id + self.verdicts.len() as u64;
+        let json = render(id);
+        if self.verdicts.len() == VERDICT_CAP {
+            self.verdicts.pop_front();
+            self.first_id += 1;
+        }
+        self.verdicts.push_back(json.clone());
+        json
+    }
+
+    /// The verdict with `id`, unless it was evicted or never assigned.
+    fn get(&self, id: u64) -> Option<&str> {
+        let index = usize::try_from(id.checked_sub(self.first_id)?).ok()?;
+        self.verdicts.get(index).map(String::as_str)
+    }
 }
 
 /// Shared state behind the HTTP surface.
 pub struct ServeState {
     /// The live fleet's scrape surface.
     pub shared: Arc<FleetShared>,
-    firmware: Mutex<Vec<FirmwareRecord>>,
-    next_id: AtomicU64,
+    verdicts: Mutex<VerdictStore>,
     started: Instant,
 }
 
 impl ServeState {
     /// Fresh state over a fleet's shard slots.
     pub fn new(shared: Arc<FleetShared>) -> ServeState {
-        ServeState {
-            shared,
-            firmware: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(0),
-            started: Instant::now(),
-        }
+        ServeState { shared, verdicts: Mutex::default(), started: Instant::now() }
     }
 
     /// Renders the full `/metrics` payload.
@@ -147,9 +175,8 @@ impl ServeState {
         let budget =
             RunBudget { fuel: FIRMWARE_FUEL, deadline: Some(Instant::now() + FIRMWARE_TIMEOUT) };
         let verdict = run_opec_on(&spec, None, &budget, backend)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let json = format!(
-            "{{\"id\": {id}, \"backend\": \"{}\", \"seed\": {}, \"clean\": {}, \
+        let fields = format!(
+            "\"backend\": \"{}\", \"seed\": {}, \"clean\": {}, \
              \"divergences\": {}, \"checks\": {}, \"probes\": {}, \"switches\": {}, \
              \"run_error\": {}, \"halted_by_budget\": {}}}",
             backend.name(),
@@ -165,17 +192,13 @@ impl ServeState {
             },
             verdict.halt.is_some(),
         );
-        self.firmware
-            .lock()
-            .expect("firmware log poisoned")
-            .push(FirmwareRecord { id, json: json.clone() });
-        Ok(json)
+        let mut verdicts = self.verdicts.lock().expect("verdict store poisoned");
+        Ok(verdicts.push(|id| format!("{{\"id\": {id}, {fields}")))
     }
 
     /// Looks up a retained verdict.
     pub fn firmware_json(&self, id: u64) -> Option<String> {
-        let log = self.firmware.lock().expect("firmware log poisoned");
-        log.iter().find(|r| r.id == id).map(|r| r.json.clone())
+        self.verdicts.lock().expect("verdict store poisoned").get(id).map(str::to_string)
     }
 }
 
@@ -227,24 +250,53 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
 
+/// One read that waits no later than `deadline`: `Ok(None)` once it
+/// has passed.
+fn read_by(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> std::io::Result<Option<usize>> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Ok(None);
+    }
+    stream.set_read_timeout(Some(left))?;
+    match stream.read(buf) {
+        Ok(n) => Ok(Some(n)),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
 /// Reads one request, routes it, writes the response. Connection:
 /// close — one request per connection keeps the loop trivially robust.
+/// The whole request must arrive within [`REQUEST_DEADLINE`] of the
+/// call, so a client trickling bytes cannot hold the only handler.
 fn handle(stream: &mut TcpStream, state: &ServeState) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let timed_out = || Response::error("408 Request Timeout", "request not received in time");
     stream.set_nodelay(true)?;
     let mut buf = Vec::new();
     let mut tmp = [0u8; 4096];
     let header_end = loop {
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            return Ok(());
-        }
+        // A terminator can straddle the previous read: rescan its last
+        // 3 bytes, not the whole buffer.
+        let scanned = buf.len().saturating_sub(3);
+        let n = match read_by(stream, &mut tmp, deadline)? {
+            None => return write_response(stream, &timed_out()),
+            Some(0) => return Ok(()),
+            Some(n) => n,
+        };
         buf.extend_from_slice(&tmp[..n]);
-        if let Some(pos) = find_subslice(&buf, b"\r\n\r\n") {
-            break pos + 4;
+        if let Some(pos) = find_subslice(&buf[scanned..], b"\r\n\r\n") {
+            break scanned + pos + 4;
         }
         if buf.len() > MAX_REQUEST {
-            return write_response(stream, &Response::error("431 Request Too Large", "headers"));
+            return write_response(
+                stream,
+                &Response::error("431 Request Header Fields Too Large", "headers"),
+            );
         }
     };
     let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
@@ -262,11 +314,11 @@ fn handle(stream: &mut TcpStream, state: &ServeState) -> std::io::Result<()> {
         return write_response(stream, &Response::error("413 Payload Too Large", "body"));
     }
     while buf.len() < header_end + content_length {
-        let n = stream.read(&mut tmp)?;
-        if n == 0 {
-            break;
+        match read_by(stream, &mut tmp, deadline)? {
+            None => return write_response(stream, &timed_out()),
+            Some(0) => break,
+            Some(n) => buf.extend_from_slice(&tmp[..n]),
         }
-        buf.extend_from_slice(&tmp[..n]);
     }
     let body = String::from_utf8_lossy(&buf[header_end..]).to_string();
     let resp = route(state, &method, &path, &body);
@@ -285,30 +337,70 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()
     stream.flush()
 }
 
-/// Serves until the fleet's stop flag is raised. The listener is
-/// non-blocking so the stop flag is honored within ~25 ms even with no
-/// traffic; per-connection errors are contained to their connection.
+/// Where the stop watcher connects to wake the accept loop: the
+/// listener's own address, with an unspecified IP replaced by loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
+}
+
+/// Raises its flag when dropped, also while unwinding: a panicking
+/// handler must release the stop watcher, or the scope never joins and
+/// the panic never reaches `serve`'s caller.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Serves until the fleet's stop flag is raised. Accept blocks, so a
+/// connection is handled as soon as it arrives. A scoped stop watcher
+/// checks the flag every 25 ms; once it is raised, the watcher
+/// connects to the listener to wake the blocked accept, retrying until
+/// the loop has returned. Per-connection errors are contained to their
+/// connection.
 pub fn serve(listener: TcpListener, state: Arc<ServeState>) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if state.shared.stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
+    listener.set_nonblocking(false)?;
+    let wake = wake_addr(listener.local_addr()?);
+    let returned = AtomicBool::new(false);
+    let stop = &state.shared.stop;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) && !returned.load(Ordering::Acquire) {
+                std::thread::sleep(STOP_POLL);
+            }
+            while !returned.load(Ordering::Acquire) {
+                // Dropped at once: if the loop handles it as a request
+                // it reads end-of-file and moves on.
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+                std::thread::sleep(STOP_POLL);
+            }
+        });
+        let _returned = RaiseOnDrop(&returned);
+        for conn in listener.incoming() {
+            if stop.load(Ordering::Relaxed) {
+                return Ok(());
+            }
+            match conn {
                 // A request that can block (the oracle run in POST
                 // /firmware) still finishes in bounded time via its
                 // own budget; connection errors never kill the loop.
-                if stream.set_nonblocking(false).is_ok() {
+                Ok(mut stream) => {
                     let _ = handle(&mut stream, &state);
                 }
+                // Back off so a persistent failure (such as running
+                // out of file descriptors) does not spin.
+                Err(_) => std::thread::sleep(STOP_POLL),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
         }
-    }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -350,6 +442,31 @@ mod tests {
         let id = v.get("id").and_then(Value::as_u64).unwrap();
         let polled = route(&s, "GET", &format!("/firmware/{id}"), "");
         assert_eq!(polled.body, r.body);
+    }
+
+    #[test]
+    fn verdict_store_keeps_the_most_recent_verdicts_with_dense_ids() {
+        let mut store = VerdictStore::default();
+        for i in 0..=VERDICT_CAP as u64 {
+            let json = store.push(|id| format!("{{\"id\": {id}}}"));
+            assert_eq!(json, format!("{{\"id\": {i}}}"));
+        }
+        let newest = VERDICT_CAP as u64;
+        assert_eq!(store.get(0), None, "the oldest verdict is evicted");
+        assert_eq!(store.get(1), Some("{\"id\": 1}"));
+        assert_eq!(store.get(newest), Some(format!("{{\"id\": {newest}}}").as_str()));
+        assert_eq!(store.get(newest + 1), None);
+        assert_eq!(store.get(u64::MAX), None);
+        assert_eq!(store.verdicts.len(), VERDICT_CAP);
+    }
+
+    #[test]
+    fn wake_addr_replaces_only_an_unspecified_ip() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:9100"), "127.0.0.1:9100");
+        assert_eq!(wake("[::]:9100"), "[::1]:9100");
+        assert_eq!(wake("192.0.2.7:80"), "192.0.2.7:80");
+        assert_eq!(wake("127.0.0.1:9100"), "127.0.0.1:9100");
     }
 
     #[test]

@@ -4,9 +4,11 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use opec_campaign::json;
 use opec_fleet::{run_fleet, serve, FleetConfig, FleetShared, ServeState};
@@ -17,8 +19,19 @@ use opec_oracle::generate;
 /// One request over a fresh connection (the server is
 /// `Connection: close`), returning `(status_line, body)`.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (String, String) {
+    request_within(addr, method, path, body, Duration::from_secs(60))
+}
+
+/// [`request`], failing if any read waits longer than `timeout`.
+fn request_within(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+    timeout: Duration,
+) -> (String, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    s.set_read_timeout(Some(timeout)).unwrap();
     write!(
         s,
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
@@ -30,6 +43,39 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (String, S
     let (head, payload) = raw.split_once("\r\n\r\n").expect("header terminator");
     let status = head.lines().next().unwrap_or_default().to_string();
     (status, payload.to_string())
+}
+
+/// `serve` on an ephemeral loopback port with no fleet behind it.
+struct Server {
+    addr: SocketAddr,
+    shared: Arc<FleetShared>,
+    returned: Receiver<std::io::Result<()>>,
+    thread: JoinHandle<()>,
+}
+
+impl Server {
+    fn start() -> Server {
+        let shared = Arc::new(FleetShared::new(1));
+        let state = Arc::new(ServeState::new(shared.clone()));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("local addr");
+        let (tx, returned) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = tx.send(serve(listener, state));
+        });
+        Server { addr, shared, returned, thread }
+    }
+
+    /// Raises the stop flag; `serve` must return cleanly within
+    /// `limit` (a wedged accept fails here instead of hanging).
+    fn stop_within(self, limit: Duration) {
+        self.shared.stop.store(true, Ordering::Relaxed);
+        match self.returned.recv_timeout(limit) {
+            Ok(result) => result.expect("server exits cleanly"),
+            Err(e) => panic!("serve did not return within {limit:?} of stop: {e}"),
+        }
+        self.thread.join().expect("server thread");
+    }
 }
 
 #[test]
@@ -114,11 +160,8 @@ fn serve_answers_scrapes_while_a_fleet_runs() {
 /// gets a 400, and the server thread survives to answer `/metrics`.
 #[test]
 fn hostile_firmware_bodies_get_400_and_serving_continues() {
-    let shared = Arc::new(FleetShared::new(1));
-    let state = Arc::new(ServeState::new(shared.clone()));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().expect("local addr");
-    let server = std::thread::spawn(move || serve(listener, state));
+    let server = Server::start();
+    let addr = server.addr;
 
     // A plan whose `main` holds one out-of-range index: a call to
     // function 999, a load of global 77, an access to peripheral 9.
@@ -143,6 +186,105 @@ fn hostile_firmware_bodies_get_400_and_serving_continues() {
         assert!(metrics.contains("opec_fleet_devices"));
     }
 
-    shared.stop.store(true, Ordering::Relaxed);
-    server.join().expect("server thread").expect("server exits cleanly");
+    server.stop_within(Duration::from_secs(1));
+}
+
+/// Accept blocks instead of polling: a request on an idle server is
+/// read as soon as it arrives, not at the next poll tick.
+#[test]
+fn idle_requests_are_not_delayed() {
+    let server = Server::start();
+    let mut ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let (status, _) = request(server.addr, "GET", "/metrics", "");
+            assert_eq!(status, "HTTP/1.1 200 OK");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(median < 5.0, "median idle /metrics latency {median:.2} ms; all: {ms:.2?}");
+    server.stop_within(Duration::from_secs(1));
+}
+
+/// The stop flag ends `serve` promptly with nothing in flight: the
+/// blocked accept is woken, both when it never served anything and
+/// right after a request.
+#[test]
+fn stop_ends_serve_promptly() {
+    Server::start().stop_within(Duration::from_secs(1));
+
+    let server = Server::start();
+    let (status, _) = request(server.addr, "GET", "/metrics", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    server.stop_within(Duration::from_secs(1));
+}
+
+/// A slow-loris client that trickles one header byte every 200 ms and
+/// never ends its headers gets a 408 at the whole-request deadline
+/// (5 s), and a scrape queued behind it is answered right after.
+#[test]
+fn a_trickling_client_gets_408_and_does_not_hold_scrapes() {
+    let server = Server::start();
+    let mut trickler = TcpStream::connect(server.addr).expect("connect");
+    trickler.write_all(b"G").expect("first byte");
+    let answered = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let mut input = trickler.try_clone().expect("clone trickler");
+        let answered = answered.clone();
+        std::thread::spawn(move || {
+            input.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+            let mut raw = Vec::new();
+            // A reset after the response is fine; the bytes read stay.
+            let _ = input.read_to_end(&mut raw);
+            answered.store(true, Ordering::Relaxed);
+            String::from_utf8_lossy(&raw).to_string()
+        })
+    };
+    let writer = {
+        let answered = answered.clone();
+        std::thread::spawn(move || {
+            // Gives up after ~15 s, so a server that lets the trickler
+            // hold its handler fails this test instead of hanging it.
+            let rest = b"ET /metrics HTTP/1.1\r\nX-Slow: ".iter().chain(std::iter::repeat(&b'a'));
+            for &byte in rest.take(75) {
+                std::thread::sleep(Duration::from_millis(200));
+                if answered.load(Ordering::Relaxed) || trickler.write_all(&[byte]).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+
+    let sent = Instant::now();
+    let (status, body) = request_within(server.addr, "GET", "/metrics", "", Duration::from_secs(8));
+    let waited = sent.elapsed();
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    assert!(body.contains("opec_fleet_devices"));
+    assert!(waited < Duration::from_secs(8), "scrape waited {waited:?} behind the trickler");
+
+    let reply = reader.join().expect("trickler reader");
+    assert!(reply.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "trickler got: {reply:?}");
+    writer.join().expect("trickler writer");
+    server.stop_within(Duration::from_secs(1));
+}
+
+/// Just over 1 MiB of header bytes with no terminator gets a 431, and
+/// the server keeps answering.
+#[test]
+fn oversized_headers_get_431_and_serving_continues() {
+    let server = Server::start();
+    let mut s = TcpStream::connect(server.addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut head = b"GET /metrics HTTP/1.1\r\nX-Big: ".to_vec();
+    head.resize((1 << 20) + 1, b'a');
+    s.write_all(&head).expect("send oversized headers");
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).expect("read response");
+    assert_eq!(raw.lines().next(), Some("HTTP/1.1 431 Request Header Fields Too Large"));
+
+    let (status, _) = request(server.addr, "GET", "/metrics", "");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    server.stop_within(Duration::from_secs(1));
 }
